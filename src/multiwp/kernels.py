@@ -1,10 +1,9 @@
 """Hot numeric kernels: ordered nested lattice sums and compensated cumsums.
 
-The kernels are JIT-compiled with numba when it is importable; setting the
-environment variable ``MULTIWP_PURE_NUMPY=1`` forces the vectorized
-pure-numpy fallback instead.  Both paths produce identical results up to
-rounding and are compared in the test suite and in
-``benchmarks/bench_kernels.py``.
+One vectorized numpy kernel sweeps the lattice backward once and returns the
+ordered sums of all r suffixes of its (shifts, exponents) chain, so callers
+that need every prefix and suffix factor of a chain need one sweep per
+orientation.
 
 Summation region and order
 --------------------------
@@ -14,7 +13,8 @@ depth r is
 
     sum_{start <= j_1 < j_2 < ... < j_r}  prod_s 1/(z_s - w_{j_s})^{k_s},
 
-evaluated with one backward sweep.  When the trailing exponent is 2 the
+evaluated with one backward sweep, which passes through the sum over every
+suffix of slots on its way to slot 0.  When the trailing exponent is 2 the
 plain sum converges too slowly in N (the inner rows lose O(1/N) each), so
 the identity
 
@@ -26,28 +26,7 @@ the second piece converges absolutely like |w|^-3.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-PURE_NUMPY = os.environ.get("MULTIWP_PURE_NUMPY", "") not in ("", "0")
-
-try:
-    if PURE_NUMPY:
-        raise ImportError
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # no-op decorator
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
-
-USING_NUMBA = HAVE_NUMBA and not PURE_NUMPY
 
 
 # ---------------------------------------------------------------------------
@@ -78,51 +57,28 @@ def lattice_sorted(tau: complex, M: int, N: int) -> tuple[np.ndarray, int]:
 # ordered nested sum
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _ipow(v: complex, k: int) -> complex:
-    out = 1.0 + 0.0j
-    base = 1.0 / v
-    e = k
-    while e > 0:
-        if e & 1:
-            out *= base
-        base *= base
-        e >>= 1
-    return out
+def ordered_sum(w, shifts, exps, split_last=False, boundary_prev=None) -> list[complex]:
+    """Every suffix of the ordered nested sum over the (pre-sliced) region
+    array ``w``, from one backward sweep.
 
+    ``out[s]`` is the ordered sum over slots s..r-1 alone, so ``out[0]`` is
+    the full depth-r sum and ``out[s]`` equals
+    ``ordered_sum(w, shifts[s:], exps[s:], ...)[0]`` exactly.
 
-@njit(cache=True)
-def _ordered_sum_numba(w, shifts, exps, split_last):
+    boundary_prev: for a split sum, the lattice point immediately preceding
+    the region start; the last slot's depth-1 suffix ``out[r-1]`` gets the
+    single surviving telescoped boundary term -1/(z - boundary_prev - 1) of
+    its row.
+    """
+    w = np.asarray(w, dtype=np.complex128)
+    shifts = np.asarray(shifts, dtype=np.complex128)
+    exps = np.asarray(exps, dtype=np.int64)
     r = len(exps)
     L = len(w)
+    split_last = bool(split_last and exps[-1] == 2)
     zr = shifts[r - 1]
-    T = np.zeros(r + 2, dtype=np.complex128)
-    T[r] = 0.0  # suffix for slot r
-    # T[s] holds S_s(j+1); T[r+1] would be the constant 1 for the last slot
-    for j in range(L - 1, -1, -1):
-        wj = w[j]
-        for s in range(r):
-            v = shifts[s] - wj
-            if s == r - 1:
-                if split_last:
-                    f = -1.0 / ((v - 1.0) * v * v)
-                else:
-                    f = _ipow(v, exps[s])
-                T[s] = T[s] + f
-            else:
-                f = _ipow(v, exps[s])
-                nxt = T[s + 1]
-                if split_last and s == r - 2:
-                    nxt = nxt + (-1.0 / (zr - wj - 1.0))
-                T[s] = T[s] + f * nxt
-    return T[0]
-
-
-def _ordered_sum_numpy(w, shifts, exps, split_last):
-    r = len(exps)
-    L = len(w)
+    out = [0j] * r
     suffix = None
-    zr = shifts[r - 1]
     for s in range(r - 1, -1, -1):
         v = shifts[s] - w
         if s == r - 1 and split_last:
@@ -139,80 +95,24 @@ def _ordered_sum_numpy(w, shifts, exps, split_last):
                 nxt = nxt + (-1.0 / (zr - w - 1.0))
             acc = vals * nxt
         suffix = np.cumsum(acc[::-1])[::-1]
-    return complex(suffix[0])
-
-
-def ordered_sum(w, shifts, exps, split_last=False, boundary_prev=None):
-    """Ordered nested sum over the (pre-sliced) region array ``w``.
-
-    boundary_prev: for a depth-1 split sum, the lattice point immediately
-    preceding the region start (its row contributes the single surviving
-    telescoped boundary term -1/(z - boundary_prev - 1)).
-    """
-    shifts = np.asarray(shifts, dtype=np.complex128)
-    exps = np.asarray(exps, dtype=np.int64)
-    split_last = bool(split_last and exps[-1] == 2)
-    if USING_NUMBA:
-        out = _ordered_sum_numba(np.ascontiguousarray(w, dtype=np.complex128),
-                                 shifts, exps, split_last)
-    else:
-        out = _ordered_sum_numpy(np.asarray(w, dtype=np.complex128),
-                                 shifts, exps, split_last)
-    if split_last and len(exps) == 1 and boundary_prev is not None:
-        out = out + (-1.0 / (complex(shifts[0]) - complex(boundary_prev) - 1.0))
-    return complex(out)
+        out[s] = complex(suffix[0])
+    if split_last and boundary_prev is not None:
+        out[r - 1] += -1.0 / (complex(zr) - complex(boundary_prev) - 1.0)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # compensated cumulative sums (for slowly converging MZV partial sums)
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _kahan_cumsum_numba(y):
-    out = np.empty_like(y)
-    s = 0.0
-    c = 0.0
-    for i in range(len(y)):
-        t = y[i] - c
-        tot = s + t
-        c = (tot - s) - t
-        s = tot
-        out[i] = s
-    return out
-
-
 def kahan_cumsum(y: np.ndarray) -> np.ndarray:
     """Running sums of a float64 array with O(eps) error per element."""
     y = np.asarray(y, dtype=np.float64)
-    if USING_NUMBA:
-        return _kahan_cumsum_numba(y)
     return np.cumsum(y.astype(np.longdouble)).astype(np.float64)
-
-
-@njit(cache=True)
-def _kahan_cumsum_cplx_numba(y):
-    out = np.empty_like(y)
-    sr = 0.0
-    si = 0.0
-    cr = 0.0
-    ci = 0.0
-    for i in range(len(y)):
-        tr = y[i].real - cr
-        ti = y[i].imag - ci
-        totr = sr + tr
-        toti = si + ti
-        cr = (totr - sr) - tr
-        ci = (toti - si) - ti
-        sr = totr
-        si = toti
-        out[i] = complex(sr, si)
-    return out
 
 
 def kahan_cumsum_complex(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.complex128)
-    if USING_NUMBA:
-        return _kahan_cumsum_cplx_numba(y)
     re = np.cumsum(y.real.astype(np.longdouble))
     im = np.cumsum(y.imag.astype(np.longdouble))
     return (re + 1j * im).astype(np.complex128)

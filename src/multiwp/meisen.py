@@ -70,19 +70,8 @@ def monotangent(k: int, z: complex, method: str = "auto", N: int = 2000) -> comp
 def multitangent_direct(index, z: complex, N: int = 30000) -> complex:
     """Truncated nested sum over n_1 < ... < n_r (oracle for the reduction)."""
     index = Index(index)
-    w = np.arange(-N, N + 1, dtype=float)
-    suffix = None
-    for s in range(index.depth - 1, -1, -1):
-        vals = (z + w) ** float(-index[s])
-        if suffix is None:
-            acc = vals
-        else:
-            nxt = np.empty(len(w), dtype=complex)
-            nxt[:-1] = suffix[1:]
-            nxt[-1] = 0.0
-            acc = vals * nxt
-        suffix = np.cumsum(acc[::-1])[::-1]
-    return complex(suffix[0])
+    # z - (-n) is z + n exactly, so the kernel sums (z + n)^-k over n ascending
+    return ordered_sum(-np.arange(-N, N + 1), [z] * index.depth, list(index))[0]
 
 
 @dataclass(frozen=True)
@@ -193,7 +182,7 @@ def _meis_once(index: Index, tau: complex, cfg: EvalConfig) -> complex:
     region = w[pos0 + 1:]
     split = index[-1] == 2
     val = ordered_sum(region, [0.0] * index.depth, list(index),
-                      split_last=split, boundary_prev=0.0)
+                      split_last=split, boundary_prev=0.0)[0]
     return (-1) ** (index.weight % 2) * val
 
 

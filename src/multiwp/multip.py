@@ -22,7 +22,7 @@ from .meisen import g_function, meis_qexp, monotangent
 from .weier import TWO_PI_I, _check_tau, wp_k
 
 __all__ = [
-    "multiwp_tilde", "multiwp_direct", "multiwp_direct_error", "multiwp_raw",
+    "multiwp_tilde", "multiwp_direct", "multiwp_raw",
     "multiwp_multivar", "ReducedForm", "multiwp_reduce", "QFactor",
     "multiwp_tilde_fourier",
     "antipode_residual", "multiwp22_fourier", "modular_transform_check",
@@ -43,9 +43,9 @@ def _require_admissible(index: Index):
 # restricted multivariable wp
 # ---------------------------------------------------------------------------
 
-def _tilde_kernel(index: Index, xs, tau: complex, cfg: EvalConfig) -> complex:
-    if index.depth == 0:
-        return 1.0 + 0.0j
+def _tilde_kernel(index: Index, xs, tau: complex, cfg: EvalConfig) -> list[complex]:
+    """The truncated restricted sums of index[s:] at xs[s:], for every s, from
+    one kernel sweep over the lattice points w > 0."""
     w, pos0 = lattice_sorted(tau, cfg.M, cfg.N)
     region = w[pos0 + 1:]
     return ordered_sum(region, [complex(x) for x in xs], list(index),
@@ -99,39 +99,38 @@ def multiwp_tilde(index, xs, tau: complex, cfg: EvalConfig | None = None,
         if not small:
             raise ValueError("taylor path needs all |x_i| <= 0.45")
         return _tilde_taylor(index, xs, tau, cfg.q_order, 13, cfg.tol * 1e-4)
-    return _tilde_kernel(index, xs, tau, cfg)
+    return _tilde_kernel(index, xs, tau, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
 # full-lattice multiple wp
 # ---------------------------------------------------------------------------
 
-def _multivar_split(index: Index, zs, tau: complex, cfg: EvalConfig,
-                    tilde_method: str = "direct") -> complex:
+def _multivar_split(index: Index, zs, tau: complex, cfg: EvalConfig) -> complex:
     """Exact split of the ordered full-lattice sum at 0 (prefix below 0 /
-    member at 0 / suffix above 0); each factor is a restricted sum."""
+    member at 0 / suffix above 0); each factor is a restricted sum.
+
+    All factors come from two kernel sweeps: the suffix factors
+    tilde(index[i:], zs[i:]) from one over (index, zs), and the reversed
+    prefix factors tilde(index[:i][::-1], -zs[:i][::-1]) from one over the
+    reversed chain, in which that prefix is the suffix starting at r - i.
+    """
     r = index.depth
+    if r == 0:
+        return 1.0 + 0.0j
     K = [0]
     for k in index:
         K.append(K[-1] + k)
-
-    def tilde(idx, args):
-        idx = Index(idx)
-        if idx.depth == 0:
-            return 1.0 + 0.0j
-        if tilde_method == "taylor":
-            return multiwp_tilde(idx, args, tau, cfg, method="taylor")
-        return _tilde_kernel(idx, args, tau, cfg)
+    suf = _tilde_kernel(index, zs, tau, cfg) + [1.0 + 0.0j]
+    rev = _tilde_kernel(index.reversed(), [-z for z in reversed(zs)], tau, cfg)
+    pre = [1.0 + 0.0j] + rev[::-1]
 
     total = 0.0 + 0.0j
     for i in range(r + 1):
-        a = tilde(index[:i][::-1], [-zs[j] for j in range(i - 1, -1, -1)])
-        b = tilde(index[i:], [zs[j] for j in range(i, r)])
-        total += (-1) ** (K[i] % 2) * a * b
+        total += (-1) ** (K[i] % 2) * pre[i] * suf[i]
     for i in range(1, r + 1):
-        a = tilde(index[:i - 1][::-1], [-zs[j] for j in range(i - 2, -1, -1)])
-        b = tilde(index[i:], [zs[j] for j in range(i, r)])
-        total += zs[i - 1] ** float(-index[i - 1]) * (-1) ** (K[i - 1] % 2) * a * b
+        total += (zs[i - 1] ** float(-index[i - 1]) * (-1) ** (K[i - 1] % 2)
+                  * pre[i - 1] * suf[i])
     return total
 
 
@@ -164,16 +163,6 @@ def multiwp_direct(index, z: complex, tau: complex,
     return _split_extrapolated(index, [z] * index.depth, tau, cfg)
 
 
-def multiwp_direct_error(index, z: complex, tau: complex,
-                         cfg: EvalConfig | None = None) -> tuple[complex, float]:
-    """(value at cfg, Cauchy-difference estimate against the half-N run)."""
-    cfg = _as_cfg(cfg)
-    lo = cfg.with_(N=max(cfg.M, cfg.N // 2))
-    v1 = multiwp_direct(index, z, tau, lo)
-    v2 = multiwp_direct(index, z, tau, cfg)
-    return v2, abs(v2 - v1)
-
-
 def multiwp_raw(index, z: complex, tau: complex,
                 cfg: EvalConfig | None = None) -> complex:
     """Plain single-pass truncated sum over the whole rectangle (slowly
@@ -184,7 +173,7 @@ def multiwp_raw(index, z: complex, tau: complex,
     cfg = _as_cfg(cfg)
     w, _ = lattice_sorted(tau, cfg.M, cfg.N)
     return ordered_sum(w, [complex(z)] * index.depth, list(index),
-                       split_last=index[-1] == 2)
+                       split_last=index[-1] == 2)[0]
 
 
 def multiwp_multivar(index, zs, tau: complex,

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from multiwp import kernels
+from multiwp.core import EvalConfig, Index
 from multiwp.kernels import kahan_cumsum, lattice_sorted, ordered_sum
+from multiwp.multip import _multivar_split
 
 
 def test_lattice_sorted_order():
@@ -23,7 +24,7 @@ def test_ordered_sum_depth1_matches_plain_sum():
     tau = 2j
     w, pos0 = lattice_sorted(tau, 8, 50)
     region = w[pos0 + 1:]
-    got = ordered_sum(region, [0.0], [3])
+    got = ordered_sum(region, [0.0], [3])[0]
     want = np.sum((0.0 - region) ** -3.0)
     assert abs(got - want) < 1e-14
 
@@ -33,7 +34,7 @@ def test_ordered_sum_depth2_matches_double_loop():
     w, pos0 = lattice_sorted(tau, 3, 6)
     region = w[pos0 + 1:]
     z = 0.3 + 0.2j
-    got = ordered_sum(region, [z, z], [3, 4])
+    got = ordered_sum(region, [z, z], [3, 4])[0]
     vals1 = (z - region) ** -3.0
     vals2 = (z - region) ** -4.0
     want = sum(vals1[i] * vals2[j] for i in range(len(region))
@@ -49,23 +50,93 @@ def test_split_matches_plain_in_the_limit():
         w, pos0 = lattice_sorted(tau, 6, N)
         region = w[pos0 + 1:]
         vals[(N, split)] = ordered_sum(region, [0.0, 0.0], [3, 2],
-                                       split_last=split, boundary_prev=None)
+                                       split_last=split, boundary_prev=None)[0]
     limit = vals[(40000, True)]
     assert abs(vals[(400, True)] - limit) < 5e-5
     assert abs(vals[(400, True)] - limit) < abs(vals[(400, False)] - limit)
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_numba_and_numpy_paths_agree():
-    tau = 0.5 + 1.3j
-    w, pos0 = lattice_sorted(tau, 6, 200)
-    region = np.ascontiguousarray(w[pos0 + 1:])
-    shifts = np.array([0.31 + 0.17j, -0.2 + 0.05j], dtype=np.complex128)
-    exps = np.array([2, 2], dtype=np.int64)
-    for split in (False, True):
-        a = kernels._ordered_sum_numba(region, shifts, exps, split)
-        b = kernels._ordered_sum_numpy(region, shifts, exps, split)
-        assert abs(a - b) < 1e-12 * (1 + abs(a))
+def _nested_loop_sum(region, shifts, exps, split, boundary_prev):
+    """The split ordered sum term by term: slot values (with the last slot's
+    -1/((V-1) V^2) under the split), the telescoped row remainder
+    -1/(z_r - w - 1) after the second-to-last slot, and for depth 1 the
+    boundary row's surviving term."""
+    r, L = len(exps), len(region)
+    split = split and exps[-1] == 2
+
+    def f(s, j):
+        v = complex(shifts[s]) - complex(region[j])
+        if s == r - 1 and split:
+            return -1.0 / ((v - 1.0) * v * v)
+        return v ** -exps[s]
+
+    def tail(s, j0):
+        if s == r:
+            return 1.0
+        total = 0.0
+        for j in range(j0, L):
+            inner = tail(s + 1, j + 1)
+            if split and s == r - 2:
+                inner += -1.0 / (complex(shifts[-1]) - complex(region[j]) - 1.0)
+            total += f(s, j) * inner
+        return total
+
+    out = tail(0, 0)
+    if split and r == 1:
+        out += -1.0 / (complex(shifts[0]) - boundary_prev - 1.0)
+    return out
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("exps", [(2,), (3, 2), (2, 4, 2), (3, 2, 2, 2)])
+def test_every_suffix_matches_nested_loop_and_single_sweep(exps, split):
+    w, pos0 = lattice_sorted(0.4 + 1.2j, 3, 4)
+    region = w[pos0 + 1:]
+    shifts = [0.31 + 0.17j, -0.2 + 0.05j, 0.13 - 0.41j, 0.07 + 0.23j][:len(exps)]
+    out = ordered_sum(region, shifts, list(exps), split_last=split, boundary_prev=0.0)
+    assert len(out) == len(exps)
+    for s in range(len(exps)):
+        ref = _nested_loop_sum(region, shifts[s:], exps[s:], split, 0.0)
+        assert abs(out[s] - ref) < 1e-12 * (1 + abs(ref)), (s, out[s], ref)
+        single = ordered_sum(region, shifts[s:], list(exps[s:]), split_last=split,
+                             boundary_prev=0.0)[0]
+        assert out[s] == single, s
+
+
+def _split_one_factor_per_call(index, zs, tau, cfg):
+    """The split at 0 with one kernel call per prefix and suffix factor."""
+    r = index.depth
+    K = [0]
+    for k in index:
+        K.append(K[-1] + k)
+    w, pos0 = lattice_sorted(tau, cfg.M, cfg.N)
+    region = w[pos0 + 1:]
+
+    def tilde(idx, args):
+        if not idx:
+            return 1.0 + 0.0j
+        return ordered_sum(region, [complex(x) for x in args], list(idx),
+                           split_last=idx[-1] == 2, boundary_prev=0.0)[0]
+
+    total = 0.0 + 0.0j
+    for i in range(r + 1):
+        a = tilde(index[:i][::-1], [-zs[j] for j in range(i - 1, -1, -1)])
+        b = tilde(index[i:], [zs[j] for j in range(i, r)])
+        total += (-1) ** (K[i] % 2) * a * b
+    for i in range(1, r + 1):
+        a = tilde(index[:i - 1][::-1], [-zs[j] for j in range(i - 2, -1, -1)])
+        b = tilde(index[i:], [zs[j] for j in range(i, r)])
+        total += zs[i - 1] ** float(-index[i - 1]) * (-1) ** (K[i - 1] % 2) * a * b
+    return total
+
+
+@pytest.mark.parametrize("ix", [(2,), (3, 2), (2, 3), (2, 2, 2), (4, 2, 3), (2, 3, 2, 2)])
+def test_two_sweep_split_equals_one_call_per_factor(ix):
+    tau = 0.3 + 1.1j
+    cfg = EvalConfig(M=4, N=60)
+    zs = [0.21 + 0.13j, -0.17 + 0.29j, 0.33 - 0.11j, 0.05 + 0.4j][:len(ix)]
+    index = Index(ix)
+    assert _multivar_split(index, zs, tau, cfg) == _split_one_factor_per_call(index, zs, tau, cfg)
 
 
 def test_kahan_cumsum_matches_fsum():
@@ -81,9 +152,3 @@ def test_kahan_cumsum_matches_fsum():
     y = rng.standard_normal(20000)
     out = kahan_cumsum(y)
     assert abs(out[-1] - math.fsum(y)) < 1e-13 * np.sum(np.abs(y))
-
-
-def test_env_flag_reported():
-    assert isinstance(kernels.USING_NUMBA, bool)
-    if kernels.PURE_NUMPY:
-        assert not kernels.USING_NUMBA
