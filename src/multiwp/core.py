@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Sequence
 
@@ -166,11 +167,11 @@ def partition_trace(phi: TraceWeight, X: Sequence, r: int):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _stuffle_words(a: tuple, b: tuple) -> tuple[tuple[tuple, int], ...]:
+def _stuffle_words(a: tuple, b: tuple) -> tuple[tuple[Index, int], ...]:
     if not a:
-        return ((b, 1),)
+        return ((Index(b), 1),)
     if not b:
-        return ((a, 1),)
+        return ((Index(a), 1),)
     out: dict[tuple, int] = {}
     for word, c in _stuffle_words(a[1:], b):
         w = (a[0],) + word
@@ -181,7 +182,7 @@ def _stuffle_words(a: tuple, b: tuple) -> tuple[tuple[tuple, int], ...]:
     for word, c in _stuffle_words(a[1:], b[1:]):
         w = (a[0] + b[0],) + word
         out[w] = out.get(w, 0) + c
-    return tuple(sorted(out.items()))
+    return tuple((Index(w), c) for w, c in sorted(out.items()))
 
 
 def stuffle(a: Iterable[int], b: Iterable[int]) -> dict[Index, int]:
@@ -191,8 +192,7 @@ def stuffle(a: Iterable[int], b: Iterable[int]) -> dict[Index, int]:
     the unit.  Multiple zeta values, multiple Eisenstein series and multiple
     wp-functions all satisfy this product on their indices.
     """
-    words = _stuffle_words(tuple(a), tuple(b))
-    return {Index(w): c for w, c in words}
+    return dict(_stuffle_words(tuple(a), tuple(b)))
 
 
 def stuffle_combination(comb_a: dict, comb_b: dict) -> dict:
@@ -247,14 +247,24 @@ def compositions_ge2(k: int) -> tuple[Index, ...]:
 
 
 def compositions_fixed(total: int, r: int, minpart: int = 0):
-    """Yield all (n_1..n_r) with n_i >= minpart summing to total."""
+    """Yield all (n_1..n_r) with n_i >= minpart summing to total, in
+    lexicographic order (stars and bars: r - 1 bars among the free units)."""
     if r == 0:
         if total == 0:
             yield ()
         return
-    for first in range(minpart, total - minpart * (r - 1) + 1):
-        for rest in compositions_fixed(total - first, r - 1, minpart):
-            yield (first,) + rest
+    free = total - minpart * r
+    if free < 0:
+        return
+    last = free + r - 1
+    for bars in combinations(range(last), r - 1):
+        prev = -1
+        parts = []
+        for b in bars:
+            parts.append(b - prev - 1 + minpart)
+            prev = b
+        parts.append(last - prev - 1 + minpart)
+        yield tuple(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from multiwp.cli import main, parse_complex, parse_index
-from multiwp.core import Index
+from multiwp.core import Index, compositions_ge2
+from multiwp.relations import antipode_relation
 
 
 def run_cli(args, capsys):
@@ -62,6 +63,23 @@ def test_table_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "weight,dim_conj,rel_conj,rel_anti,deficit"
     assert lines[-1] == "6,4,1,1,0"
+
+
+def test_table_json_exact_ranks_to_weight_14(capsys):
+    code, out = run_cli(["table", "--max-weight", "14", "--format", "json"], capsys)
+    assert code == 0
+    rows = {r["weight"]: r for r in json.loads(out)["outputs"]}
+    assert [rows[w]["rel_anti"] for w in (12, 13, 14)] == [40, 62, 115]
+    assert [rows[w]["deficit"] for w in (12, 13, 14)] == [2, 12, 14]
+
+
+def test_relations_weight_13_rank(capsys):
+    code, out = run_cli(["relations", "--weight", "13", "--format", "json"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["outputs"][-1] == {"source": "rank", "relation": "62"}
+    assert len(rep["outputs"]) == 1 + sum(
+        1 for src in compositions_ge2(14) if antipode_relation(src))
 
 
 def test_qexp_json_roundtrip(capsys):

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from multiwp.core import (EvalConfig, Index, Partition, TruncatedSeries, bernoulli,
-                          beta, beta_prime, compositions_ge2, partition_trace,
+                          beta, beta_prime, compositions_fixed, compositions_ge2,
+                          partition_trace,
                           partitions, phi_log, series_mul, stuffle,
                           stuffle_combination)
 from multiwp.weier import phi_exp
@@ -80,6 +81,35 @@ def test_stuffle_examples():
     assert stuffle((2,), (3,)) == {Index((2, 3)): 1, Index((3, 2)): 1, Index((5,)): 1}
     assert stuffle((), (2, 7)) == {Index((2, 7)): 1}
     assert stuffle((2,), (2,)) == {Index((2, 2)): 2, Index((4,)): 1}
+
+
+def test_stuffle_result_is_a_fresh_dict():
+    first = stuffle((2,), (3,))
+    assert all(type(w) is Index for w in first)
+    first[Index((2, 3))] = 7
+    del first[Index((5,))]
+    first[Index((9,))] = 1
+    assert stuffle((2,), (3,)) == {Index((2, 3)): 1, Index((3, 2)): 1, Index((5,)): 1}
+    assert stuffle((2,), (3,)) == {(2, 3): 1, (3, 2): 1, (5,): 1}
+    assert stuffle((2,), (3,)) is not stuffle((2,), (3,))
+
+
+def _compositions_fixed_recursive(total, r, minpart):
+    if r == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(minpart, total - minpart * (r - 1) + 1):
+        for rest in _compositions_fixed_recursive(total - first, r - 1, minpart):
+            yield (first,) + rest
+
+
+def test_compositions_fixed_matches_recursion():
+    for total in range(-1, 11):
+        for r in range(0, 6):
+            for minpart in range(0, 3):
+                assert list(compositions_fixed(total, r, minpart)) == \
+                    list(_compositions_fixed_recursive(total, r, minpart)), (total, r, minpart)
 
 
 def _compositions(w):

@@ -1,9 +1,12 @@
+from math import comb
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
-from multiwp.core import Index, compositions_ge2, stuffle
-from multiwp.relations import (SymbolicCombination, _IntEchelon, antipode_relation,
+from multiwp.core import Index, compositions_fixed, compositions_ge2, stuffle
+from multiwp.relations import (RelationMatrix, SymbolicCombination, _IntEchelon,
+                               _antipode_basis, antipode_relation,
                                combination_residual, conjectured_dim, conjectured_rel,
                                eisenstein_relation_residual, mzv_relation_residual,
                                relation_rank, relation_rows, relation_table)
@@ -134,3 +137,102 @@ def test_eisenstein_relation_examples():
     assert eisenstein_relation_residual((2, 2), 2, tau) < 1e-5
     with pytest.raises(ValueError):
         eisenstein_relation_residual((2,), 0, tau)
+
+
+def _lex_echelon(weight):
+    return _IntEchelon({ix: i for i, ix in enumerate(compositions_ge2(weight))})
+
+
+def _antipode_fraction_reference(source):
+    """The antipode relation accumulated over Fractions, term by term."""
+    source = Index(source)
+    r = source.depth
+    out = {}
+    for i in range(1, r + 1):
+        k_i = source[i - 1]
+        others = [source[p] for p in range(r) if p != i - 1]
+        for ms in compositions_fixed(k_i - 1, r - 1, 0):
+            ns = [kp + mp for kp, mp in zip(others, ms)]
+            ns.insert(i - 1, 1)
+            c = 1
+            for p in range(1, r + 1):
+                if p != i:
+                    c *= comb(ns[p - 1] - 1, source[p - 1] - 1)
+            sgn = (-1) ** ((k_i + sum(ns[i - 1:])) % 2)
+            for word, m in stuffle(Index(ns[:i - 1][::-1]), Index(ns[i:])).items():
+                s = out.get(word, Fraction(0)) + sgn * c * m
+                if s:
+                    out[word] = s
+                elif word in out:
+                    del out[word]
+    return out
+
+
+def test_antipode_relation_matches_fraction_reference():
+    for k in range(2, 12):
+        for src in compositions_ge2(k):
+            rel = antipode_relation(src)
+            assert rel.terms == _antipode_fraction_reference(src), src
+            assert all(type(c) is int for c in rel.terms.values()), src
+            if rel:
+                assert rel.weight == k - 1
+
+
+def test_coefficients_int_unless_rational():
+    rel = antipode_relation((2, 2, 3))
+    half = rel.scale(Fraction(1, 2))
+    assert half.terms == {Index((2, 4)): Fraction(-3, 2), Index((3, 3)): 3,
+                          Index((6,)): Fraction(-1, 2)}
+    assert type(half.terms[Index((3, 3))]) is int
+    assert type(half.terms[Index((6,))]) is Fraction
+    assert all(type(c) is int for c in half.scale(2).terms.values())
+    assert all(type(c) is int for c in half.stuffle_mul((2,)).scale(4).terms.values())
+    doubled = half.stuffle_mul((2,)).scale(2)
+    assert doubled.terms == rel.stuffle_mul((2,)).terms
+    assert all(type(c) is int for c in doubled.terms.values())
+    with pytest.raises(ValueError):
+        rel.stuffle_mul((1, 2))
+
+
+@pytest.mark.parametrize("weight", range(2, 13))
+def test_antipode_basis_spans_all_antipode_relations(weight):
+    basis = _antipode_basis(weight)
+    rels = [antipode_relation(src) for src in compositions_ge2(weight + 1)]
+    ech = _lex_echelon(weight)
+    assert all(ech.insert(b) for b in basis)
+    assert ech.rank == len(basis)
+    assert not any(ech.insert(rel) for rel in rels if rel)
+    # a subsequence of the relations in source order
+    it = iter(rels)
+    assert all(any(b is rel for rel in it) for b in basis)
+
+
+@pytest.mark.parametrize("weight", range(8, 13))
+def test_basis_products_span_every_antipode_product(weight):
+    ech = _lex_echelon(weight)
+    for row in relation_rows(weight):
+        ech.insert(row)
+    assert ech.rank == TABLE[weight][2]
+    for uw in range(2, weight - 1):
+        for u in compositions_ge2(uw):
+            for src in compositions_ge2(weight - uw + 1):
+                rel = antipode_relation(src)
+                if rel:
+                    assert not ech.insert(rel.stuffle_mul(u)), (u, src)
+    assert ech.rank == TABLE[weight][2]
+
+
+def test_scalar_multiples_do_not_raise_rank():
+    rel = antipode_relation((2, 2, 3))
+    mat = RelationMatrix(6)
+    assert mat.add(rel)
+    assert not mat.add(rel.scale(-3))
+    assert not mat.add(rel.scale(Fraction(1, 2)))
+    assert not mat.add(rel)
+    assert mat.rank == 1
+    # same support, not a multiple
+    other = rel + SymbolicCombination({Index((6,)): -1})
+    assert set(other.terms) == set(rel.terms)
+    assert mat.add(other)
+    assert not mat.add(other.scale(Fraction(-2, 7)))
+    assert mat.rank == 2
