@@ -5,7 +5,7 @@ from .core import (DEFAULT_CONFIG, EvalConfig, Index, Partition, TruncatedSeries
                    bernoulli, beta, beta_prime, compositions_ge2, partition_trace,
                    partitions, phi_log, series_mul, stuffle)
 from .mzv import MzvValue, hurwitz_mzv, mzv, zeta_even_exact
-from .weier import (ModularPoint, eisenstein_G, repeated_index_closed_form, sigma, weier_zeta,
+from .weier import (eisenstein_G, repeated_index_closed_form, sigma, weier_zeta,
                     wp, wp_deriv_poly, wp_deriv_trace_form, wp_k, wp_prime)
 from .meisen import (g_function, meis_direct, meis_direct_error, meis_qexp,
                      monotangent, multitangent_reduce)
@@ -22,7 +22,7 @@ __all__ = [
     "bernoulli", "beta", "beta_prime", "compositions_ge2", "partition_trace",
     "partitions", "phi_log", "series_mul", "stuffle",
     "MzvValue", "hurwitz_mzv", "mzv", "zeta_even_exact",
-    "ModularPoint", "eisenstein_G", "repeated_index_closed_form", "sigma", "weier_zeta",
+    "eisenstein_G", "repeated_index_closed_form", "sigma", "weier_zeta",
     "wp", "wp_deriv_poly", "wp_deriv_trace_form", "wp_k", "wp_prime",
     "g_function", "meis_direct", "meis_direct_error", "meis_qexp",
     "monotangent", "multitangent_reduce",

@@ -227,49 +227,71 @@ def _ordered_m_dp(pvals: list[np.ndarray]) -> complex:
     mmax = len(pvals[0])
     A = np.ones(mmax + 1, dtype=complex)  # A_0(m) = 1
     for P in pvals:
-        run = 0.0 + 0.0j
         Anew = np.zeros(mmax + 1, dtype=complex)
-        for m in range(1, mmax + 1):
-            run += P[m - 1] * A[m - 1]
-            Anew[m] = run
+        Anew[1:] = np.cumsum(P * A[:-1])
         A = Anew
     return complex(A[mmax])
 
 
 @lru_cache(maxsize=None)
+def _block_amplitudes(block: tuple, digits: int) -> tuple[tuple[int, complex], ...]:
+    """Pairs (n, c_n (-2 pi i)^n / (n-1)!) with Psi_block(x) = sum_n c_n Psi_n(x),
+    so that Psi_block(m tau) = sum_n amplitude_n P_n(q^m).  tau-free."""
+    red = multitangent_reduce(block).coefficients(digits)
+    return tuple((n, c * (-TWO_PI_I) ** n / factorial(n - 1)) for n, c in red.items())
+
+
+@lru_cache(maxsize=None)
+def _prefix_values(index: tuple, digits: int) -> tuple[float, ...]:
+    """zeta(k_1..k_j) for j = 0..r, with 1 for the empty prefix.  tau-free."""
+    return (1.0,) + tuple(mzv(index[:j], digits).value for j in range(1, len(index) + 1))
+
+
+@lru_cache(maxsize=None)
+def _amplitude_matrix(index: tuple, digits: int) -> np.ndarray:
+    """One row per block k_{i+1..t}, for i = r-1, ..., 0 and then t = i+1..r:
+    the block amplitudes at n = 2..weight(index).  tau-free, read-only."""
+    r = len(index)
+    blocks = [index[i:t] for i in range(r - 1, -1, -1) for t in range(i + 1, r + 1)]
+    A = np.zeros((len(blocks), sum(index) - 1), dtype=complex)
+    for row, block in enumerate(blocks):
+        for n, a in _block_amplitudes(block, digits):
+            A[row, n - 2] = a
+    A.flags.writeable = False
+    return A
+
+
+@lru_cache(maxsize=4096)
 def _meis_qexp_cached(index: tuple, tau: complex, q_order: int, digits: int) -> complex:
-    idx = Index(index)
+    """Sum over the word splittings of index as one suffix DP.
+
+    A splitting is an m = 0 prefix k_1..k_j followed by blocks with
+    0 < m_1 < ... < m_h.  Each block b sums to Q_b(m) = Psi_b(m tau), and
+    R_i(m) is the sum over the block splittings of k_{i+1..r} with every
+    m' > m:  R_r = 1,  R_i(m) = sum_{t > i} sum_{m' > m} Q_{k_{i+1..t}}(m') R_t(m'),
+    so that the series is sum_j zeta(k_1..k_j) R_j(0).  Every m-sum stops
+    at mmax.
+    """
+    r, w = len(index), sum(index)
     q = complex(np.exp(TWO_PI_I * tau))
     aq = abs(q)
-    need = int(np.ceil(log(1e-18) / log(aq))) + idx.depth + 1
+    need = int(np.ceil(log(1e-18) / log(aq))) + r + 1
     if need > q_order:
         raise QOrderError(
             f"q_order={q_order} too small: tail ~ |q|^{q_order + 1} = "
             f"{aq ** (q_order + 1):.2e} exceeds the target precision; need ~{need}")
     mmax = min(q_order, need)
     dmax = min(q_order, max(need, 8))
-    pmat = _p_matrix(range(2, idx.weight + 1), q, mmax, dmax)
-    total = 0.0 + 0.0j
-    for sp in word_splittings(idx):
-        pre = mzv(sp.mzv_prefix, digits).value if sp.mzv_prefix.depth else 1.0
-        if not sp.blocks:
-            total += pre
-            continue
-        reds = [multitangent_reduce(b).coefficients(digits) for b in sp.blocks]
-
-        def rec(i: int, coeff: complex, chosen: list):
-            nonlocal total
-            if i == len(reds):
-                amp = 1.0 + 0.0j
-                for nn in chosen:
-                    amp *= (-TWO_PI_I) ** nn / factorial(nn - 1)
-                total += pre * coeff * amp * _ordered_m_dp([pmat[nn] for nn in chosen])
-                return
-            for nn, c in reds[i].items():
-                rec(i + 1, coeff * c, chosen + [nn])
-
-        rec(0, 1.0, [])
-    return total
+    pmat = _p_matrix(range(2, w + 1), q, mmax, dmax)
+    Q = _amplitude_matrix(index, digits) @ np.array([pmat[n] for n in range(2, w + 1)])
+    R = np.zeros((r + 1, mmax + 1), dtype=complex)  # R[i, m] = R_i(m), m = 0..mmax
+    R[r] = 1.0
+    row = 0
+    for i in range(r - 1, -1, -1):
+        S = (Q[row:row + r - i] * R[i + 1:, 1:]).sum(axis=0)  # m' = 1..mmax
+        R[i, :-1] = np.cumsum(S[::-1])[::-1]
+        row += r - i
+    return complex(np.dot(_prefix_values(index, digits), R[:, 0]))
 
 
 def meis_qexp(index, tau: complex, q_order: int = 64, digits: int = 12) -> complex:

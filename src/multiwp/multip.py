@@ -16,10 +16,10 @@ from functools import lru_cache
 from math import comb, factorial
 
 
-from .core import DEFAULT_CONFIG, EvalConfig, Index, compositions_fixed, stuffle
+from .core import EvalConfig, Index, compositions_fixed, stuffle
 from .kernels import lattice_sorted, ordered_sum
-from .meisen import g_function, meis_qexp, monotangent
-from .weier import TWO_PI_I, _check_tau, wp_k
+from .meisen import _require_admissible, g_function, meis_qexp, monotangent
+from .weier import TWO_PI_I, _as_cfg, _check_tau, wp_k
 
 __all__ = [
     "multiwp_tilde", "multiwp_direct", "multiwp_raw",
@@ -28,15 +28,6 @@ __all__ = [
     "antipode_residual", "multiwp22_fourier", "modular_transform_check",
     "fourier_c",
 ]
-
-
-def _as_cfg(cfg) -> EvalConfig:
-    return cfg if cfg is not None else DEFAULT_CONFIG
-
-
-def _require_admissible(index: Index):
-    if not index.admissible:
-        raise ValueError(f"index {tuple(index)} not admissible: all parts must be >= 2")
 
 
 # ---------------------------------------------------------------------------

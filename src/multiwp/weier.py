@@ -32,30 +32,8 @@ def _as_cfg(cfg) -> EvalConfig:
     return cfg if cfg is not None else DEFAULT_CONFIG
 
 
-class ModularPoint:
-    """A point tau of the upper half-plane with its nome q = e^{2 pi i tau}."""
-
-    __slots__ = ("tau",)
-
-    def __init__(self, tau: complex):
-        tau = complex(getattr(tau, "tau", tau))
-        if tau.imag <= 0:
-            raise ValueError("tau must lie in the upper half-plane")
-        self.tau = tau
-
-    @property
-    def q(self) -> complex:
-        return complex(np.exp(TWO_PI_I * self.tau))
-
-    def __complex__(self) -> complex:
-        return self.tau
-
-    def __repr__(self) -> str:
-        return f"ModularPoint({self.tau})"
-
-
 def _check_tau(tau) -> complex:
-    tau = complex(getattr(tau, "tau", tau))
+    tau = complex(tau)
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
     return tau

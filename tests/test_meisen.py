@@ -1,11 +1,15 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
+from multiwp import meisen
 from multiwp.core import EvalConfig, Index, compositions_ge2
-from multiwp.mzv import mzv_value
+from multiwp.mzv import mzv, mzv_value
 from multiwp.weier import eisenstein_G
-from multiwp.meisen import (QOrderError, WordDecomposition, g_function,
+from multiwp.meisen import (MultitangentReduction, QOrderError, WordDecomposition,
+                            _meis_qexp_cached, _ordered_m_dp, _p_matrix, g_function,
                             g_function_direct, meis_direct, meis_direct_error,
                             meis_qexp, monotangent, multitangent_direct,
                             multitangent_reduce, word_splittings)
@@ -120,6 +124,101 @@ def test_meis_qexp_q_order_guard():
         meis_qexp((2,), 0.05j, q_order=16)
     with pytest.raises(ValueError):
         meis_qexp((1, 2), TAU)
+
+
+def _loop_m_dp(pvals):
+    """sum over 0 < m_1 < ... < m_h <= mmax of prod_i pvals[i][m_i - 1], by a
+    Python loop over m per factor."""
+    mmax = len(pvals[0])
+    A = [1.0 + 0.0j] * (mmax + 1)
+    for P in pvals:
+        run = 0.0 + 0.0j
+        Anew = [0.0 + 0.0j] * (mmax + 1)
+        for m in range(1, mmax + 1):
+            run += P[m - 1] * A[m - 1]
+            Anew[m] = run
+        A = Anew
+    return A[mmax]
+
+
+def _meis_qexp_by_splittings(ix, tau, q_order=64, digits=12):
+    """Gt by the word splittings: for each splitting and each product of the
+    block reductions, one ordered m-sum of monotangent q-series, with the
+    truncation of meis_qexp."""
+    ix = Index(ix)
+    q = complex(np.exp(2j * math.pi * tau))
+    need = int(np.ceil(math.log(1e-18) / math.log(abs(q)))) + ix.depth + 1
+    mmax, dmax = min(q_order, need), min(q_order, max(need, 8))
+    pmat = _p_matrix(range(2, ix.weight + 1), q, mmax, dmax)
+    total = 0.0 + 0.0j
+    for sp in word_splittings(ix):
+        pre = mzv(sp.mzv_prefix, digits).value if sp.mzv_prefix.depth else 1.0
+        reds = [multitangent_reduce(b).coefficients(digits).items() for b in sp.blocks]
+        for choice in itertools.product(*reds):
+            term = pre
+            for n, c in choice:
+                term *= c * (-2j * math.pi) ** n / math.factorial(n - 1)
+            total += term * (_loop_m_dp([pmat[n] for n, _ in choice]) if choice else 1.0)
+    return total
+
+
+def test_meis_qexp_matches_word_splitting_sum():
+    for tau in (0.8j, -0.45 + 0.95j, 0.5 + 0.87j, 0.3 + 1.3j, 2j):
+        for w in range(2, 13):
+            for ix in compositions_ge2(w):
+                ref = _meis_qexp_by_splittings(ix, tau)
+                assert abs(meis_qexp(ix, tau) - ref) <= 1e-12 * (1 + abs(ref)), (ix, tau)
+
+
+def test_ordered_m_dp_matches_nested_loops():
+    rng = np.random.default_rng(7)
+    for h in range(1, 5):
+        for mmax in (h, 5, 9):
+            pvals = [(rng.normal(size=mmax) + 1j * rng.normal(size=mmax))
+                     * 10.0 ** rng.integers(-6, 7) for _ in range(h)]
+            ref = sum(math.prod(P[m - 1] for P, m in zip(pvals, ms))
+                      for ms in itertools.combinations(range(1, mmax + 1), h))
+            scale = math.prod(np.abs(P).sum() for P in pvals)
+            assert abs(_ordered_m_dp(pvals) - ref) <= 1e-14 * scale, (h, mmax)
+
+
+def test_meis_qexp_tau_cache_is_bounded():
+    maxsize = _meis_qexp_cached.cache_info().maxsize
+    assert maxsize is not None
+    for k in range(maxsize + 50):
+        meis_qexp((2,), 1.5j + k * 1e-5)
+    assert _meis_qexp_cached.cache_info().currsize <= maxsize
+
+
+def test_meis_qexp_tau_free_tables_are_cached(monkeypatch):
+    # mzv() and the reduction coefficients do not depend on tau: once an
+    # index has been evaluated, a new tau calls neither
+    calls = {"mzv": 0, "coefficients": 0}
+    mzv_fn, coefficients_fn = meisen.mzv, MultitangentReduction.coefficients
+
+    def counted_mzv(*a, **kw):
+        calls["mzv"] += 1
+        return mzv_fn(*a, **kw)
+
+    def counted_coefficients(*a, **kw):
+        calls["coefficients"] += 1
+        return coefficients_fn(*a, **kw)
+
+    monkeypatch.setattr(meisen, "mzv", counted_mzv)
+    monkeypatch.setattr(MultitangentReduction, "coefficients", counted_coefficients)
+    for table in (meisen._block_amplitudes, meisen._prefix_values, meisen._amplitude_matrix):
+        table.cache_clear()
+    # the q-order guard fires before any table is built
+    with pytest.raises(QOrderError):
+        meis_qexp((2, 3, 2, 4), 0.05j, q_order=16)
+    assert calls == {"mzv": 0, "coefficients": 0}
+    taus = [0.137 + 1.01j + 0.0173 * k * (1 + 1j) for k in range(20)]
+    meis_qexp((2, 3, 2, 4), taus[0])
+    assert calls["mzv"] > 0 and calls["coefficients"] > 0
+    calls.update(mzv=0, coefficients=0)
+    for tau in taus[1:]:
+        meis_qexp((2, 3, 2, 4), tau)
+    assert calls == {"mzv": 0, "coefficients": 0}
 
 
 def test_g_function_dual():
