@@ -56,8 +56,13 @@ def parse_index(s: str) -> Index:
     return Index(int(p) for p in s.replace(" ", "").split(","))
 
 
+_CONFIG_KEYS = {"M": int, "N": int, "q_order": int, "tol": float}
+
+
 def load_config(path: str | None, args) -> EvalConfig:
-    vals = {}
+    """The EvalConfig from the key=value file at path (if any), each value
+    overridden by its flag; an unknown key is a ValueError."""
+    cfg = {key: getattr(DEFAULT_CONFIG, key) for key in _CONFIG_KEYS}
     if path:
         with open(path) as fh:
             for line in fh:
@@ -65,16 +70,13 @@ def load_config(path: str | None, args) -> EvalConfig:
                 if not line or line.startswith("#"):
                     continue
                 key, _, val = line.partition("=")
-                vals[key.strip()] = val.strip()
-    cfg = {
-        "M": int(vals.get("M", DEFAULT_CONFIG.M)),
-        "N": int(vals.get("N", DEFAULT_CONFIG.N)),
-        "q_order": int(vals.get("q_order", DEFAULT_CONFIG.q_order)),
-        "tol": float(vals.get("tol", DEFAULT_CONFIG.tol)),
-        "precision": int(vals.get("precision", DEFAULT_CONFIG.precision)),
-    }
+                key = key.strip()
+                if key not in _CONFIG_KEYS:
+                    raise ValueError(f"unknown config key {key!r} in {path}; "
+                                     f"known keys: {', '.join(_CONFIG_KEYS)}")
+                cfg[key] = _CONFIG_KEYS[key](val.strip())
     for key in cfg:
-        flag = getattr(args, key if key != "q_order" else "q_order", None)
+        flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
     return EvalConfig(**cfg)
@@ -199,14 +201,8 @@ def cmd_verify(args) -> int:
         kw["max_weight"] = args.max_weight
     checks = []
     suites = [args.suite] if args.suite != "all" else list(verify.SUITES)
-    if args.jobs > 1 and len(suites) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.jobs) as ex:
-            for rows in ex.map(lambda s: verify.run_suite(s, **kw), suites):
-                checks.extend(rows)
-    else:
-        for s in suites:
-            checks.extend(verify.run_suite(s, **kw))
+    for s in suites:
+        checks.extend(verify.run_suite(s, **kw))
     failed = [c for c in checks if not c.passed]
     outputs = [c.to_dict() for c in checks]
     report = {
@@ -263,13 +259,12 @@ def _common_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     p.add_argument("--format", choices=["text", "json", "csv"], default=d("text"))
     p.add_argument("--config", default=d(None),
-                   help="key=value config file (M, N, q_order, tol, precision)")
+                   help="key=value config file (M, N, q_order, tol)")
     p.add_argument("--seed", type=int, default=d(0))
     p.add_argument("-M", type=int, dest="M", default=d(None))
     p.add_argument("-N", type=int, dest="N", default=d(None))
     p.add_argument("--q-order", type=int, dest="q_order", default=d(None))
     p.add_argument("--tol", type=float, default=d(None))
-    p.add_argument("--precision", type=int, default=d(None))
     p.add_argument("--digits", type=int, default=d(12), help="MZV working digits")
 
 
@@ -306,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--suite", default="all",
                     choices=sorted(verify.SUITES) + ["all"])
     pv.add_argument("--max-weight", type=int, default=None)
-    pv.add_argument("--jobs", type=int, default=1)
     pv.set_defaults(run=cmd_verify)
 
     pl = sub.add_parser("relations", help="antipode relations and the exact rank in one weight")

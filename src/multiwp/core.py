@@ -1,6 +1,7 @@
 """Shared combinatorial substrate: indices, partitions, partition traces,
-the quasi-shuffle (stuffle) product, Bernoulli numbers, truncated power
-series, and the evaluation configuration.
+the quasi-shuffle (stuffle) product and its expansion of symbol products,
+the binomial coupling of the reduction theorem, Bernoulli numbers,
+truncated power series, and the evaluation configuration.
 
 Everything here is exact (integers / `fractions.Fraction`); floating point
 enters only through the callers.  All values are immutable after
@@ -195,18 +196,35 @@ def stuffle(a: Iterable[int], b: Iterable[int]) -> dict[Index, int]:
     return dict(_stuffle_words(tuple(a), tuple(b)))
 
 
+def stuffle_expand(terms) -> dict:
+    """sum of c * (w_1 * ... * w_n) over the (c, (w_1, ..., w_n)) terms, each
+    product expanded by the stuffle; zero coefficients are dropped.  No words
+    give the empty index, the stuffle unit."""
+    out: dict[Index, object] = {}
+    for c, words in terms:
+        if len(words) == 2:
+            prod = stuffle(*words)
+        else:
+            prod = {Index(): 1}
+            for w in words:
+                nxt: dict[Index, object] = {}
+                for left, cl in prod.items():
+                    for word, m in stuffle(left, w).items():
+                        nxt[word] = nxt.get(word, 0) + cl * m
+                prod = nxt
+        for word, m in prod.items():
+            s = out.get(word, 0) + c * m
+            if s:
+                out[word] = s
+            elif word in out:
+                del out[word]
+    return out
+
+
 def stuffle_combination(comb_a: dict, comb_b: dict) -> dict:
     """Bilinear extension of the stuffle product to linear combinations."""
-    out: dict[Index, object] = {}
-    for ia, ca in comb_a.items():
-        for ib, cb in comb_b.items():
-            for iw, c in stuffle(ia, ib).items():
-                cur = out.get(iw, 0) + ca * cb * c
-                if cur:
-                    out[iw] = cur
-                elif iw in out:
-                    del out[iw]
-    return out
+    return stuffle_expand((ca * cb, (ia, ib)) for ia, ca in comb_a.items()
+                          for ib, cb in comb_b.items())
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +283,39 @@ def compositions_fixed(total: int, r: int, minpart: int = 0):
             prev = b
         parts.append(last - prev - 1 + minpart)
         yield tuple(parts)
+
+
+def couplings(index: Sequence[int], total: int, free: int | None = None,
+              n_free: int | None = None):
+    """The binomial coupling of the reduction theorem.
+
+    Yield (ns, c) for every ns = (n_1..n_r) summing to total with n_j >= k_j
+    at each slot j other than the free slot i (0-based), where
+
+        c = (-1)^(k_i + n_i + ... + n_r) prod_{j != i} C(n_j - 1, k_j - 1)
+
+    is nonzero.  The free n_i is n_free when given and otherwise any n_i >= 0.
+    With free=None every slot is coupled and c is the unsigned product over
+    all j.  The order is lexicographic in ns (stars and bars on the excess).
+    """
+    k = tuple(index)
+    base = list(k)
+    coupled = [j for j in range(len(k)) if j != free]
+    slots = list(range(len(k)))
+    if free is not None:
+        base[free] = n_free or 0
+        if n_free is not None:
+            slots.remove(free)
+    for excess in compositions_fixed(total - sum(base), len(slots), 0):
+        ns = list(base)
+        for j, e in zip(slots, excess):
+            ns[j] += e
+        c = 1
+        for j in coupled:
+            c *= comb(ns[j] - 1, k[j] - 1)
+        if free is not None and (k[free] + sum(ns[free:])) % 2:
+            c = -c
+        yield tuple(ns), c
 
 
 # ---------------------------------------------------------------------------
@@ -416,15 +467,12 @@ class EvalConfig:
     N: int = 800
     q_order: int = 64
     tol: float = 1e-8
-    precision: int = 15
 
     def __post_init__(self):
         if not (self.N >= self.M >= 1):
             raise ValueError("need N >= M >= 1")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
-        if self.precision < 15:
-            raise ValueError("precision must be >= 15 significant digits")
 
     def refined(self) -> "EvalConfig":
         return replace(self, M=2 * self.M, N=2 * self.N)

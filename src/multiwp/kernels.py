@@ -106,13 +106,10 @@ def ordered_sum(w, shifts, exps, split_last=False, boundary_prev=None) -> list[c
 # ---------------------------------------------------------------------------
 
 def kahan_cumsum(y: np.ndarray) -> np.ndarray:
-    """Running sums of a float64 array with O(eps) error per element."""
-    y = np.asarray(y, dtype=np.float64)
+    """Running sums of a float64 or complex128 array with O(eps) error per
+    element: the cumsum runs in extended precision (per component for
+    complex input) and rounds back to the input precision."""
+    y = np.asarray(y)
+    if np.iscomplexobj(y):
+        return np.cumsum(y.astype(np.clongdouble)).astype(np.complex128)
     return np.cumsum(y.astype(np.longdouble)).astype(np.float64)
-
-
-def kahan_cumsum_complex(y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=np.complex128)
-    re = np.cumsum(y.real.astype(np.longdouble))
-    im = np.cumsum(y.imag.astype(np.longdouble))
-    return (re + 1j * im).astype(np.complex128)

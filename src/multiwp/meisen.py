@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, log
+from math import factorial, log
 
 import numpy as np
 
-from .core import DEFAULT_CONFIG, EvalConfig, Index, compositions_fixed
+from .core import DEFAULT_CONFIG, EvalConfig, Index, couplings
 from .kernels import lattice_sorted, ordered_sum
 from .mzv import mzv
 from .weier import TWO_PI_I, _check_tau, _em_tail, lipschitz_psi
@@ -110,20 +110,11 @@ def multitangent_reduce(index) -> MultitangentReduction:
     if index[0] < 2 or index[-1] < 2:
         raise ValueError("boundary parts must be >= 2")
     ks = index.reversed()
-    r, k = ks.depth, ks.weight
     terms = []
-    for i in range(1, r + 1):
-        for ns in compositions_fixed(k, r, 2):
-            c = 1
-            for j in range(1, r + 1):
-                if j != i:
-                    c *= comb(ns[j - 1] - 1, ks[j - 1] - 1) if ns[j - 1] >= ks[j - 1] else 0
-            if c == 0:
-                continue
-            sgn = (-1) ** ((ks[i - 1] + sum(ns[i - 1:])) % 2)
-            za = Index(ns[:i - 1][::-1])
-            zb = Index(ns[i:])
-            terms.append((Fraction(sgn * c), za, zb, ns[i - 1]))
+    for i in range(ks.depth):
+        for ns, c in couplings(ks, ks.weight, i):
+            if ns[i] >= 2:
+                terms.append((Fraction(c), Index(ns[:i][::-1]), Index(ns[i + 1:]), ns[i]))
     return MultitangentReduction(index, tuple(terms))
 
 

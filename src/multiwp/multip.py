@@ -16,9 +16,10 @@ from functools import lru_cache
 from math import comb, factorial
 
 
-from .core import EvalConfig, Index, compositions_fixed, stuffle
+from .core import EvalConfig, Index, compositions_fixed, couplings, stuffle_expand
 from .kernels import lattice_sorted, ordered_sum
-from .meisen import _require_admissible, g_function, meis_qexp, monotangent
+from .meisen import (_require_admissible, g_function, meis_qexp, monotangent,
+                     multitangent_reduce, word_splittings)
 from .weier import TWO_PI_I, _as_cfg, _check_tau, wp_k
 
 __all__ = [
@@ -222,10 +223,10 @@ class ReducedForm:
 
     def coeff_combination(self, n: int) -> dict[Index, Fraction]:
         """Stuffle-expanded single-symbol combination of the wp_n coefficient."""
-        return _terms_combination(self.wp_map().get(n, ()))
+        return stuffle_expand(self.wp_map().get(n, ()))
 
     def const_combination(self) -> dict[Index, Fraction]:
-        return _terms_combination(self.const_terms)
+        return stuffle_expand(self.const_terms)
 
     def natural_terms(self) -> dict:
         """Same data with every symbol re-reversed into increasing-m order."""
@@ -243,25 +244,6 @@ def _terms_value(terms, tau, q_order, digits) -> complex:
     return out
 
 
-def _terms_combination(terms) -> dict[Index, Fraction]:
-    out: dict[Index, Fraction] = {}
-    for c, idxs in terms:
-        comb_cur: dict[Index, Fraction] = {Index(): Fraction(1)}
-        for ix in idxs:
-            nxt: dict[Index, Fraction] = {}
-            for left, cl in comb_cur.items():
-                for word, mult in stuffle(left, ix).items():
-                    nxt[word] = nxt.get(word, Fraction(0)) + cl * mult
-            comb_cur = nxt
-        for word, cw in comb_cur.items():
-            s = out.get(word, Fraction(0)) + Fraction(c) * cw
-            if s:
-                out[word] = s
-            elif word in out:
-                del out[word]
-    return out
-
-
 @lru_cache(maxsize=None)
 def multiwp_reduce(index) -> ReducedForm:
     """Exact reduction of wp_{k_1..k_r} to single wp_n's.
@@ -272,44 +254,20 @@ def multiwp_reduce(index) -> ReducedForm:
     """
     index = Index(index)
     _require_admissible(index)
-    r, k = index.depth, index.weight
     wp_terms: dict[int, list[Term]] = {}
     const_terms: list[Term] = []
-
-    def bin_or_zero(n, kk):
-        return comb(n - 1, kk - 1) if n >= kk else 0
-
-    # (wp_{n_i} - G_{n_i}) couplings: n_j >= 2, sum n = k
-    for i in range(1, r + 1):
-        for ns in compositions_fixed(k, r, 2):
-            c = 1
-            for j in range(1, r + 1):
-                if j != i:
-                    c *= bin_or_zero(ns[j - 1], index[j - 1])
-            if c == 0:
-                continue
-            sgn = (-1) ** ((index[i - 1] + sum(ns[i - 1:])) % 2)
-            a = Index(ns[:i - 1][::-1])
-            b = Index(ns[i:])
-            n_i = ns[i - 1]
-            wp_terms.setdefault(n_i, []).append((Fraction(sgn * c), (a, b)))
-            if n_i % 2 == 0:  # -G_{n_i} = -2 Gt_{n_i}
-                const_terms.append((Fraction(-2 * sgn * c), (a, b, Index((n_i,)))))
+    # (wp_{n_i} - G_{n_i}) couplings, n_j >= 2: the multitangent coupling of
+    # the reversed index
+    for c, a, b, n_i in multitangent_reduce(index.reversed()).terms:
+        wp_terms.setdefault(n_i, []).append((c, (a, b)))
+        if n_i % 2 == 0:  # -G_{n_i} = -2 Gt_{n_i}
+            const_terms.append((-2 * c, (a, b, Index((n_i,)))))
     # n_i = 0 boundary couplings
-    for i in range(1, r + 1):
-        for ns in compositions_fixed(k, r, 0):
-            if ns[i - 1] != 0:
-                continue
-            c = 1
-            for j in range(1, r + 1):
-                if j != i:
-                    c *= bin_or_zero(ns[j - 1], index[j - 1])
-            if c == 0:
-                continue
-            sgn = (-1) ** ((index[i - 1] + sum(ns[i:])) % 2)
-            const_terms.append((Fraction(sgn * c), (Index(ns[:i - 1][::-1]), Index(ns[i:]))))
+    for i in range(index.depth):
+        for ns, c in couplings(index, index.weight, i, 0):
+            const_terms.append((Fraction(c), (Index(ns[:i][::-1]), Index(ns[i + 1:]))))
     # pure two-sided products
-    for i in range(0, r + 1):
+    for i in range(0, index.depth + 1):
         sgn = (-1) ** (sum(index[i:]) % 2)
         const_terms.append((Fraction(sgn), (Index(index[:i][::-1]), Index(index[i:]))))
 
@@ -400,7 +358,6 @@ def multiwp_tilde_fourier(index, z: complex, tau: complex, q_order: int = 64,
         raise ValueError("spot-check supports depth <= 2 only")
     if not (0 < z.imag < tau.imag):
         raise ValueError("strip violated: need 0 < Im z < Im tau")
-    from .meisen import multitangent_reduce, word_splittings
     from .mzv import hurwitz_mzv
 
     total = 0.0 + 0.0j

@@ -20,7 +20,7 @@ from math import factorial
 import numpy as np
 
 from .core import Index, bernoulli
-from .kernels import kahan_cumsum, kahan_cumsum_complex
+from .kernels import kahan_cumsum
 
 
 @dataclass(frozen=True)
@@ -88,13 +88,8 @@ def _mzv_interior_one(index: tuple, digits: int) -> MzvValue:
     Ts = [T0 * 2**j for j in range(npts)]
 
     def partial(T: int) -> float:
-        n = np.arange(0, T + 1, dtype=float)
-        Z = np.ones(T + 1)
-        for k in index:
-            y = np.zeros(T + 1)
-            y[1:] = n[1:] ** float(-k) * Z[1:]
-            cums = kahan_cumsum(y)
-            Z = np.concatenate(([0.0], cums[:-1]))
+        for cums in _level_sums(index, np.arange(0, T + 1, dtype=float)):
+            pass
         return float(cums[-1])
 
     # model: v(T) = V + (a_0 + a_1 log T + ... + a_p log^p T) / T
@@ -111,45 +106,61 @@ def _mzv_interior_one(index: tuple, digits: int) -> MzvValue:
     return MzvValue(V, err, Index(index))
 
 
-@lru_cache(maxsize=None)
-def _mzv_cached(index: tuple, digits: int) -> MzvValue:
+def _level_sums(index, base: np.ndarray):
+    """Yield, level by level, the running sums of the nested sum over
+    base[n] = shift + n: level s holds, at each n = 0..T, the sum over
+    0 < n_1 < ... < n_s <= n of prod_i base[n_i]^-k_i."""
+    Z = np.ones(len(base), dtype=base.dtype)
+    for k in index:
+        y = np.zeros(len(base), dtype=base.dtype)
+        y[1:] = base[1:] ** float(-k) * Z[1:]
+        cums = kahan_cumsum(y)
+        yield cums
+        Z = np.concatenate(([0.0], cums[:-1]))  # Z_s(n) = sum_{m<n}
+
+
+def _nested_zeta(index: tuple, digits: int, shift) -> MzvValue:
+    """sum over 0 < n_1 < ... < n_r of prod (shift + n_i)^-k_i: the partial
+    sums to T plus the Euler-Maclaurin tails, corrected level by level.  A
+    float shift sums in float64, a complex one in complex128."""
     T = _tail_T(digits)
     beta_cap = sum(index) + 8
-    n = np.arange(0, T + 1, dtype=float)
-    Zprev = np.ones(T + 1)
+    dtype = complex if isinstance(shift, complex) else float
     c_prev = 1.0
     err = 0.0
     tail_prev: list[tuple[float, int]] | None = None  # t_{s-1}(n) power list
-    x0 = float(T + 1)
-    for s, k in enumerate(index):
-        y = np.zeros(T + 1)
-        y[1:] = n[1:] ** float(-k) * Zprev[1:]
-        cums = kahan_cumsum(y)
-        partial = float(cums[-1])
+    x0 = shift + (T + 1)
+    ax0 = abs(x0)
+    levels = _level_sums(index, shift + np.arange(0, T + 1, dtype=dtype))
+    for s, (k, cums) in enumerate(zip(index, levels)):
+        partial = cums[-1].item()
+        head = _plist_eval(_em_power_list(k), x0)
         if s == 0:
-            tail = float(_plist_eval(_em_power_list(k), x0).real)
+            tail = head
             tail_list = _em_power_list(k)
-            tail_err = 2.0 * abs(_em_power_list(k)[-1][0]) * x0 ** float(-k - 5)
+            tail_err = 2.0 * abs(_em_power_list(k)[-1][0]) * ax0 ** float(-k - 5)
         else:
             corr = _plist_apply(k, tail_prev, beta_cap)
             corr_list = [(c, b) for b, c in corr]
-            tail = c_prev * float(_plist_eval(_em_power_list(k), x0).real) \
-                - float(_plist_eval(corr_list, x0).real)
+            tail = c_prev * head - _plist_eval(corr_list, x0)
             # t_s(n) = c_{s-1} H(k, n) - sum_{m>=n} m^-k t_{s-1}(m)
-            tl: dict[int, float] = {}
+            tl: dict[int, complex] = {}
             for c, b in _em_power_list(k):
                 tl[b] = tl.get(b, 0.0) + c_prev * c
             for c, b in corr_list:
                 tl[b] = tl.get(b, 0.0) - c
             tail_list = [(c, b) for b, c in sorted(tl.items())]
-            tail_err = err * abs(_plist_eval(_em_power_list(k), x0).real) \
-                + 4.0 * x0 ** float(-(k + 6))
+            tail_err = err * abs(head) + 4.0 * ax0 ** float(-(k + 6))
         c_s = partial + tail
         err = tail_err + 8e-16 * (abs(partial) + len(index) * abs(c_s))
         c_prev = c_s
         tail_prev = tail_list
-        Zprev = np.concatenate(([0.0], cums[:-1]))  # Z_s(n) = sum_{m<n}
     return MzvValue(c_prev, err, Index(index))
+
+
+@lru_cache(maxsize=None)
+def _mzv_cached(index: tuple, digits: int) -> MzvValue:
+    return _nested_zeta(index, digits, 0.0)
 
 
 def mzv_value(index, digits: int = 12) -> float:
@@ -177,41 +188,6 @@ def hurwitz_mzv(index, z: complex, digits: int = 12) -> MzvValue:
     z = complex(z)
     if z.imag == 0 and z.real <= -1 and abs(z.real - round(z.real)) < 1e-12:
         raise ZeroDivisionError("pole: z + n vanishes for a positive integer n")
-    T = _tail_T(digits)
-    if abs(z) > T / 4:
+    if abs(z) > _tail_T(digits) / 4:
         raise ValueError("shift too large for the tail expansion")
-    beta_cap = sum(index) + 8
-    base = z + np.arange(0, T + 1, dtype=complex)  # base[n] = z + n
-    Zprev = np.ones(T + 1, dtype=complex)
-    c_prev: complex = 1.0
-    err = 0.0
-    tail_prev = None
-    x0 = z + (T + 1)
-    ax0 = abs(x0)
-    for s, k in enumerate(index):
-        y = np.zeros(T + 1, dtype=complex)
-        y[1:] = base[1:] ** float(-k) * Zprev[1:]
-        cums = kahan_cumsum_complex(y)
-        partial = complex(cums[-1])
-        if s == 0:
-            tail = _plist_eval(_em_power_list(k), x0)
-            tail_list = _em_power_list(k)
-            tail_err = 2.0 * abs(_em_power_list(k)[-1][0]) * ax0 ** float(-k - 5)
-        else:
-            corr = _plist_apply(k, tail_prev, beta_cap)
-            corr_list = [(c, b) for b, c in corr]
-            tail = c_prev * _plist_eval(_em_power_list(k), x0) - _plist_eval(corr_list, x0)
-            tl: dict[int, complex] = {}
-            for c, b in _em_power_list(k):
-                tl[b] = tl.get(b, 0.0) + c_prev * c
-            for c, b in corr_list:
-                tl[b] = tl.get(b, 0.0) - c
-            tail_list = [(c, b) for b, c in sorted(tl.items())]
-            tail_err = err * abs(_plist_eval(_em_power_list(k), x0)) \
-                + 4.0 * ax0 ** float(-(k + 6))
-        c_s = partial + tail
-        err = tail_err + 8e-16 * (abs(partial) + len(index) * abs(c_s))
-        c_prev = c_s
-        tail_prev = tail_list
-        Zprev = np.concatenate(([0.0 + 0.0j], cums[:-1]))
-    return MzvValue(c_prev, err, Index(index))
+    return _nested_zeta(tuple(index), digits, z)

@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, pi
 
-from .core import (Index, TruncatedSeries, bernoulli, compositions_fixed,
-                   compositions_ge2, stuffle)
+from .core import (Index, TruncatedSeries, bernoulli, compositions_ge2, couplings,
+                   stuffle_expand)
 from .mzv import mzv
 from .meisen import meis_qexp
 from .weier import eisenstein_G
@@ -95,14 +95,7 @@ class SymbolicCombination:
             return SymbolicCombination()
         if not u.admissible:
             raise ValueError(f"non-admissible symbol {tuple(u)}")
-        out: dict[Index, int | Fraction] = {}
-        for ix, c in self.terms.items():
-            for word, m in stuffle(u, ix).items():
-                s = out.get(word, 0) + c * m
-                if s:
-                    out[word] = s
-                elif word in out:
-                    del out[word]
+        out = stuffle_expand((c, (u, ix)) for ix, c in self.terms.items())
         if not all(type(c) is int for c in self.terms.values()):
             out = {word: _exact(c) for word, c in out.items()}
         return SymbolicCombination._trusted(out, self.weight + u.weight)
@@ -132,28 +125,9 @@ def antipode_relation(source) -> SymbolicCombination:
     source = Index(source)
     if not source.admissible:
         raise ValueError("source parts must be >= 2")
-    r = source.depth
-    out: dict[Index, int] = {}
-    for i in range(1, r + 1):
-        k_i = source[i - 1]
-        others = [source[p] for p in range(r) if p != i - 1]
-        # nonvanishing binomials force n_p = k_p + m_p with sum m_p = k_i - 1
-        for ms in compositions_fixed(k_i - 1, r - 1, 0):
-            ns = [kp + mp for kp, mp in zip(others, ms)]
-            ns.insert(i - 1, 1)
-            c = 1
-            for p in range(1, r + 1):
-                if p != i:
-                    c *= comb(ns[p - 1] - 1, source[p - 1] - 1)
-            sgn = (-1) ** ((k_i + sum(ns[i - 1:])) % 2)
-            a = tuple(ns[:i - 1][::-1])
-            b = tuple(ns[i:])
-            for word, m in stuffle(a, b).items():
-                s = out.get(word, 0) + sgn * c * m
-                if s:
-                    out[word] = s
-                elif word in out:
-                    del out[word]
+    out = stuffle_expand((c, (ns[:i][::-1], ns[i + 1:]))
+                         for i in range(source.depth)
+                         for ns, c in couplings(source, source.weight, i, 1))
     # every word has parts n_p >= k_p >= 2 and weight source.weight - 1
     return SymbolicCombination._trusted(out, source.weight - 1)
 
@@ -369,22 +343,14 @@ def mzv_relation_residual(index, digits: int = 12) -> float:
         sgn = (-1) ** (sum(index[i:]) % 2)
         lhs += sgn * zv(index[:i][::-1]) * zv(index[i:])
     rhs = 0.0
-    for i in range(1, r + 1):
-        for ns in compositions_fixed(k, r, 0):
-            if ns[i - 1] % 2 == 1:
+    for i in range(r):
+        for ns, c in couplings(index, k, i):
+            n_i = ns[i]
+            if n_i % 2 == 1:
                 continue
-            c = 1
-            for j in range(1, r + 1):
-                if j != i:
-                    c *= comb(ns[j - 1] - 1, index[j - 1] - 1) \
-                        if ns[j - 1] >= index[j - 1] else 0
-            if c == 0:
-                continue
-            n_i = ns[i - 1]
-            sgn = (-1) ** ((index[i - 1] + sum(ns[i:])) % 2)
             # (2 pi i)^{n_i} B_{n_i} / n_i!  is real for even n_i
             euler = (-1) ** (n_i // 2) * (2 * pi) ** n_i * float(bernoulli(n_i)) / factorial(n_i)
-            rhs -= sgn * c * euler * zv(ns[:i - 1][::-1]) * zv(ns[i:])
+            rhs -= c * euler * zv(ns[:i][::-1]) * zv(ns[i + 1:])
     return abs(lhs - rhs)
 
 
@@ -409,42 +375,20 @@ def eisenstein_relation_residual(index, m: int, tau: complex, q_order: int = 64,
         return meis_qexp(ix, tau, q_order, digits) if ix.depth else 1.0
 
     lhs = 0.0 + 0.0j
-    for i in range(1, r + 1):
-        for ns in compositions_fixed(m + k, r, 0):
-            n_i = ns[i - 1]
-            if n_i % 2 == 1:
-                continue  # odd Eisenstein values vanish
-            c = comb(n_i - 1, m) if n_i >= m + 1 else 0
-            for j in range(1, r + 1):
-                if j != i:
-                    c *= comb(ns[j - 1] - 1, index[j - 1] - 1) \
-                        if ns[j - 1] >= index[j - 1] else 0
-            if c == 0:
-                continue
-            sgn = (-1) ** ((index[i - 1] + sum(ns[i:])) % 2)
-            lhs += sgn * c * gt(ns[:i - 1][::-1]) * gt(ns[i:]) * eisenstein_G(n_i, tau)
+    for i in range(r):
+        for ns, c in couplings(index, m + k, i):
+            n_i = ns[i]
+            if n_i % 2 == 1 or n_i < m + 1:
+                continue  # odd Eisenstein values vanish, as does C(n_i - 1, m)
+            lhs += comb(n_i - 1, m) * c * gt(ns[:i][::-1]) * gt(ns[i + 1:]) \
+                * eisenstein_G(n_i, tau)
     rhs = 0.0 + 0.0j
+    full = list(couplings(index, m + k))
     for i in range(0, r + 1):
-        for ns in compositions_fixed(m + k, r, 0):
-            c = 1
-            for j in range(1, r + 1):
-                c *= comb(ns[j - 1] - 1, index[j - 1] - 1) \
-                    if ns[j - 1] >= index[j - 1] else 0
-            if c == 0:
-                continue
+        for ns, c in full:
             sgn = (-1) ** (sum(ns[i:]) % 2)
             rhs += sgn * c * gt(ns[:i][::-1]) * gt(ns[i:])
-    for i in range(1, r + 1):
-        for ns in compositions_fixed(m + k, r, 0):
-            if ns[i - 1] != 0:
-                continue
-            c = 1
-            for j in range(1, r + 1):
-                if j != i:
-                    c *= comb(ns[j - 1] - 1, index[j - 1] - 1) \
-                        if ns[j - 1] >= index[j - 1] else 0
-            if c == 0:
-                continue
-            sgn = (-1) ** ((index[i - 1] + sum(ns[i:])) % 2)
-            rhs += sgn * c * gt(ns[:i - 1][::-1]) * gt(ns[i:])
+    for i in range(r):
+        for ns, c in couplings(index, m + k, i, 0):
+            rhs += c * gt(ns[:i][::-1]) * gt(ns[i + 1:])
     return abs(lhs - (-1) ** m * rhs)

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from math import factorial
 
 import numpy as np
 
-from .core import EvalConfig, Index, compositions_ge2, stuffle, stuffle_combination
+from .core import (EvalConfig, Index, compositions_ge2, stuffle, stuffle_combination,
+                   stuffle_expand)
 from . import meisen, multip, relations, weier
 from .qmod import QuasiModular, WpPolynomial
 
@@ -408,27 +408,6 @@ def suite_properties(seed: int = 0, cfg: EvalConfig | None = None) -> list[Check
     return out
 
 
-def _qm_to_symbols(qm: QuasiModular) -> dict[Index, Fraction]:
-    """Expand a quasi-modular polynomial into single Eisenstein symbols
-    (each generator G_k = 2 Gt_k, products via the stuffle)."""
-    out: dict[Index, Fraction] = {}
-    for mon, c in qm.terms.items():
-        comb_cur = {Index(): Fraction(c)}
-        for k in mon:
-            nxt: dict[Index, Fraction] = {}
-            for left, cl in comb_cur.items():
-                for word, m in stuffle(left, Index((k,))).items():
-                    nxt[word] = nxt.get(word, Fraction(0)) + cl * m * 2
-            comb_cur = nxt
-        for word, cw in comb_cur.items():
-            s = out.get(word, Fraction(0)) + cw
-            if s:
-                out[word] = s
-            elif word in out:
-                del out[word]
-    return out
-
-
 def _wp_poly_matches_reduction(poly: WpPolynomial, rf: multip.ReducedForm) -> bool:
     """Compare f(tau) wp + g(tau) (wp-polynomial form, degree <= 1, no wp')
     against a ReducedForm, as exact symbol combinations."""
@@ -440,8 +419,11 @@ def _wp_poly_matches_reduction(poly: WpPolynomial, rf: multip.ReducedForm) -> bo
     f = coeffs.get((1, 0), QuasiModular())
     g = coeffs.get((0, 0), QuasiModular())
     # wp = wp_2 - G_2, so coefficient of wp_2 is f and constant is g - f G_2
-    want_wp2 = _qm_to_symbols(f)
-    want_const = _qm_to_symbols(g - f * QuasiModular.gen(2))
+    # each generator G_k is 2 Gt_k; products expand by the stuffle
+    symbols = lambda qm: stuffle_expand((c * 2 ** len(mon), tuple((k,) for k in mon))
+                                        for mon, c in qm.terms.items())
+    want_wp2 = symbols(f)
+    want_const = symbols(g - f * QuasiModular.gen(2))
     got_wp2 = rf.coeff_combination(2)
     got_const = rf.const_combination()
     for n, _ in rf.wp_terms:

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import multiwp
 from multiwp.cli import main, parse_complex, parse_index
 from multiwp.core import Index, compositions_ge2
 from multiwp.relations import antipode_relation
@@ -115,8 +118,12 @@ def test_seeded_determinism(capsys):
 
 
 def test_console_entrypoint():
+    # the child process imports the same multiwp tree as this one
+    src = str(Path(multiwp.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "multiwp.cli", "table",
-                           "--max-weight", "4"], capture_output=True, text=True)
+                           "--max-weight", "4"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "weight" in proc.stdout
 
@@ -137,3 +144,13 @@ def test_config_file(tmp_path, capsys):
     v1 = json.loads(out)["outputs"][0]["re"]
     v2 = json.loads(out2)["outputs"][0]["re"]
     assert abs(float(v1) - float(v2)) < 1e-6 and v1 != v2
+
+
+@pytest.mark.parametrize("line", ["q-order=20", "precision=20"])
+def test_config_file_unknown_key_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "multiwp.cfg"
+    cfg.write_text(f"M = 12\n{line}\n")
+    code = main(["eval", "--fn", "mzv", "--index", "2", "--config", str(cfg)])
+    assert code == 2
+    key = line.partition("=")[0]
+    assert f"unknown config key {key!r}" in capsys.readouterr().err

@@ -1,12 +1,13 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from multiwp.core import (EvalConfig, Index, Partition, TruncatedSeries, bernoulli,
                           beta, beta_prime, compositions_fixed, compositions_ge2,
-                          partition_trace,
+                          couplings, partition_trace,
                           partitions, phi_log, series_mul, stuffle,
-                          stuffle_combination)
+                          stuffle_combination, stuffle_expand)
 from multiwp.weier import phi_exp
 
 
@@ -138,6 +139,17 @@ def test_stuffle_associative_small():
                             assert lhs == rhs
 
 
+def test_stuffle_expand_matches_nested_combinations():
+    a, b, c = (2,), (3, 2), (1, 4)
+    want = stuffle_combination(stuffle(a, b), {Index(c): 1})
+    got = stuffle_expand([(Fraction(1, 3), (a, b, c)), (Fraction(2, 3), (a, b, c))])
+    assert got == want
+    # no words give the unit, one word itself; opposite terms cancel and drop
+    assert stuffle_expand([(5, ())]) == {Index(()): 5}
+    assert stuffle_expand([(2, (a,))]) == {Index(a): 2}
+    assert stuffle_expand([(1, (a, b)), (-1, (b, a))]) == {}
+
+
 def test_stuffle_weight_graded():
     for word, c in stuffle((2, 4), (3,)).items():
         assert word.weight == 9 and c > 0
@@ -198,5 +210,40 @@ def test_eval_config_validation():
         EvalConfig(M=10, N=5)
     with pytest.raises(ValueError):
         EvalConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        EvalConfig(precision=10)
+
+
+def _coupling_reference(index, total, free, n_free):
+    """Every composition of total into len(index) parts >= 0, filtered: n_i
+    must equal n_free when that is given, and zero binomials are dropped."""
+    out = []
+    for ns in compositions_fixed(total, len(index), 0):
+        if n_free is not None and ns[free] != n_free:
+            continue
+        c = 1
+        for j, (n, k) in enumerate(zip(ns, index)):
+            if j != free:
+                c *= comb(n - 1, k - 1) if n >= k else 0
+        if c == 0:
+            continue
+        if free is not None and (index[free] + sum(ns[free:])) % 2:
+            c = -c
+        out.append((ns, c))
+    return out
+
+
+def test_couplings_match_filtered_compositions():
+    # admissible indices of weight <= 10 at totals w (reductions, antipode)
+    # and w + 2 (Taylor coefficients), and every index with parts of 1 up to
+    # weight 7: the reference sweeps C(total + r - 1, r - 1) compositions
+    cases = [(ix, total) for w in range(2, 11) for ix in compositions_ge2(w)
+             for total in (w, w + 2)]
+    cases += [(ix, w) for w in range(1, 8) for ix in _compositions(w) if 1 in ix]
+    checked = 0
+    for ix, total in cases:
+        assert list(couplings(ix, total)) == _coupling_reference(ix, total, None, None)
+        for i in range(len(ix)):
+            for n_free in (0, 1, None):
+                got = list(couplings(ix, total, i, n_free))
+                assert got == _coupling_reference(ix, total, i, n_free), (ix, total, i, n_free)
+                checked += len(got)
+    assert checked > 15000

@@ -152,3 +152,23 @@ def test_kahan_cumsum_matches_fsum():
     y = rng.standard_normal(20000)
     out = kahan_cumsum(y)
     assert abs(out[-1] - math.fsum(y)) < 1e-13 * np.sum(np.abs(y))
+
+
+def _kahan_cumsum_complex_reference(y):
+    """Separate extended-precision cumsums of the real and imaginary parts."""
+    y = np.asarray(y, dtype=np.complex128)
+    re = np.cumsum(y.real.astype(np.longdouble))
+    im = np.cumsum(y.imag.astype(np.longdouble))
+    return (re + 1j * im).astype(np.complex128)
+
+
+def test_kahan_cumsum_complex_matches_componentwise_formula():
+    # shifted decaying terms, the Hurwitz MZV partial-sum shape, and mixed signs
+    n = np.arange(0, 200001, dtype=complex)
+    rng = np.random.default_rng(2)
+    for y in ((0.3 + 0.2j + n[1:]) ** -2.0,
+              rng.standard_normal(20000) + 1j * rng.standard_normal(20000)):
+        out = kahan_cumsum(y)
+        assert out.dtype == np.complex128
+        assert np.array_equal(out, _kahan_cumsum_complex_reference(y))
+    assert kahan_cumsum(np.ones(3)).dtype == np.float64

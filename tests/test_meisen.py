@@ -74,6 +74,15 @@ def test_multitangent_reduction_vs_direct_sum():
         assert abs(red - direct) < 2e-4, ix
 
 
+def test_multitangent_reduction_interior_one_vs_direct_sum():
+    # an interior part 1 couples n_j >= 1 (C(n_j - 1, 0) = 1); the direct sum
+    # converges like 1/N, 8.4e-4 away at N = 40000
+    z = 0.3 + 0.6j
+    for ix in [(3, 1, 2), (2, 1, 3)]:
+        red = multitangent_reduce(ix).evaluate(z)
+        assert abs(red - multitangent_direct(ix, z, N=40000)) < 2e-3, ix
+
+
 def test_word_splittings():
     sps = list(word_splittings(Index((2, 3, 4))))
     assert all(isinstance(s, WordDecomposition) for s in sps)
