@@ -460,7 +460,8 @@ class EvalConfig:
     """Truncation and tolerance settings for lattice-sum evaluation.
 
     M: tau-direction half-width (|m| < M), N: integer-direction half-width
-    (|n| < N), with the inner n-limit taken before the outer m-limit.
+    (|n| < N), with the inner n-limit taken before the outer m-limit.  N >= 2,
+    so that the region w > 0 of the split and the direct series is not empty.
     """
 
     M: int = 80
@@ -469,8 +470,8 @@ class EvalConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if not (self.N >= self.M >= 1):
-            raise ValueError("need N >= M >= 1")
+        if not (self.N >= self.M >= 1 and self.N >= 2):
+            raise ValueError("need N >= M >= 1 and N >= 2")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
 

@@ -23,8 +23,22 @@ the identity
 is applied: the first piece telescopes row-by-row and its inner N-limit is
 exact (zero on full rows, a single boundary term on the partial row), while
 the second piece converges absolutely like |w|^-3.
+
+Arithmetic of one sweep
+-----------------------
+The only divisions are one reciprocal 1/(z - w) per distinct shift z of the
+call (every slot of a ``multiwp_direct`` sweep has the same shift) and, under
+the split, one 1/(V_r - 1).  Each power 1/(z - w)^k is built from the
+reciprocal by k - 1 products, as the left fold ((inv*inv)*inv)..., and shared
+by all slots with that shift and exponent.  The 1/(V_r - 1) array serves both
+the split term -1/((V_r - 1) V_r^2) = inv_r^2 * (-1/(V_r - 1)) and the row
+remainder -1/(V_r - 1) added after slot r-2.  Each slot multiplies its powers
+against the previous suffix sums shifted by one point into one reused
+buffer.  The tables live only for the call.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,23 +47,15 @@ import numpy as np
 # lattice layout
 # ---------------------------------------------------------------------------
 
-_LATTICE_CACHE: dict = {}
-
-
+@lru_cache(maxsize=9)
 def lattice_sorted(tau: complex, M: int, N: int) -> tuple[np.ndarray, int]:
     """All w = m*tau + n, |m| < M, |n| < N, sorted by (m, n); returns
-    (points, index_of_zero).  Cached per (tau, M, N)."""
-    key = (complex(tau), M, N)
-    hit = _LATTICE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    (points, index_of_zero).  The 9 most recently used (tau, M, N) are
+    cached (a hit returns the same array)."""
     m = np.arange(-M + 1, M, dtype=np.float64)
     n = np.arange(-N + 1, N, dtype=np.float64)
     w = (m[:, None] * complex(tau) + n[None, :]).ravel()
     pos0 = (M - 1) * (2 * N - 1) + (N - 1)
-    if len(_LATTICE_CACHE) > 8:
-        _LATTICE_CACHE.clear()
-    _LATTICE_CACHE[key] = (w, pos0)
     return w, pos0
 
 
@@ -57,9 +63,31 @@ def lattice_sorted(tau: complex, M: int, N: int) -> tuple[np.ndarray, int]:
 # ordered nested sum
 # ---------------------------------------------------------------------------
 
+def _power_tables(wr: np.ndarray, exps_by_shift: dict) -> dict:
+    """{(x, k): (x - wr)**-k} for every shift x and each of its exponents k.
+
+    One reciprocal per shift; each power is the left fold
+    ((inv*inv)*inv)..., so a table does not depend on which other exponents
+    were asked for.  A power nobody asked for (the reciprocal itself, once
+    the fold no longer needs it) is overwritten in place by the next one."""
+    tables = {}
+    for x, ks in exps_by_shift.items():
+        inv = np.subtract(x, wr)
+        np.reciprocal(inv, out=inv)
+        if 1 in ks:
+            tables[x, 1] = inv
+        p, top = inv, max(ks)
+        for k in range(2, top + 1):
+            keep = k - 1 in ks or (p is inv and k < top)
+            p = p * inv if keep else np.multiply(p, inv, out=p)
+            if k in ks:
+                tables[x, k] = p
+    return tables
+
+
 def ordered_sum(w, shifts, exps, split_last=False, boundary_prev=None) -> list[complex]:
-    """Every suffix of the ordered nested sum over the (pre-sliced) region
-    array ``w``, from one backward sweep.
+    """Every suffix of the ordered nested sum over the (pre-sliced, non-empty)
+    region array ``w``, from one backward sweep.
 
     ``out[s]`` is the ordered sum over slots s..r-1 alone, so ``out[0]`` is
     the full depth-r sum and ``out[s]`` equals
@@ -71,33 +99,49 @@ def ordered_sum(w, shifts, exps, split_last=False, boundary_prev=None) -> list[c
     its row.
     """
     w = np.asarray(w, dtype=np.complex128)
-    shifts = np.asarray(shifts, dtype=np.complex128)
-    exps = np.asarray(exps, dtype=np.int64)
-    r = len(exps)
     L = len(w)
+    if L == 0:
+        raise ValueError("ordered_sum needs a non-empty summation region")
+    shifts = [complex(x) for x in shifts]
+    exps = [int(k) for k in exps]
+    r = len(exps)
     split_last = bool(split_last and exps[-1] == 2)
-    zr = shifts[r - 1]
+    zr = shifts[-1]
+    # The sweep runs over the reversed region, so that each suffix sum is a
+    # forward cumsum over contiguous memory: pre[i] is the suffix sum from
+    # region point L-1-i on.
+    wr = w[::-1]
+    exps_by_shift: dict = {}
+    for x, k in zip(shifts, exps):
+        exps_by_shift.setdefault(x, set()).add(k)
+    if split_last:
+        exps_by_shift[zr].add(2)
+        # -1/(V_r - 1): a factor of the split term and the telescoped row
+        # remainder added after slot r-2
+        rem = np.subtract(wr, zr - 1.0)
+        np.reciprocal(rem, out=rem)
+    tables = _power_tables(wr, exps_by_shift)
+    pre = np.empty(L, dtype=np.complex128)
+    buf = np.empty(L, dtype=np.complex128) if r > 1 else None
     out = [0j] * r
-    suffix = None
     for s in range(r - 1, -1, -1):
-        v = shifts[s] - w
-        if s == r - 1 and split_last:
-            vals = -1.0 / ((v - 1.0) * v * v)
-        else:
-            vals = v ** float(-exps[s])
+        vals = tables[shifts[s], exps[s]]
         if s == r - 1:
-            acc = vals
+            acc = np.multiply(vals, rem, out=pre) if split_last else vals
         else:
-            nxt = np.empty(L, dtype=np.complex128)
-            nxt[:-1] = suffix[1:]
-            nxt[-1] = 0.0
+            # slot s pairs each point with the suffix strictly after it
             if split_last and s == r - 2:
-                nxt = nxt + (-1.0 / (zr - w - 1.0))
-            acc = vals * nxt
-        suffix = np.cumsum(acc[::-1])[::-1]
-        out[s] = complex(suffix[0])
+                np.add(pre[:-1], rem[1:], out=buf[1:])
+                buf[0] = rem[0]
+                np.multiply(buf, vals, out=buf)
+            else:
+                np.multiply(vals[1:], pre[:-1], out=buf[1:])
+                buf[0] = 0.0
+            acc = buf
+        np.cumsum(acc, out=pre)
+        out[s] = complex(pre[-1])
     if split_last and boundary_prev is not None:
-        out[r - 1] += -1.0 / (complex(zr) - complex(boundary_prev) - 1.0)
+        out[r - 1] += -1.0 / (zr - complex(boundary_prev) - 1.0)
     return out
 
 

@@ -185,6 +185,9 @@ def hurwitz_mzv(index, z: complex, digits: int = 12) -> MzvValue:
         return MzvValue(1.0, 0.0, index)
     if index[-1] < 2:
         raise ValueError("non-admissible index: last part must be >= 2")
+    if 1 in index[:-1]:
+        raise ValueError(f"hurwitz_mzv index {tuple(index)} has a part 1 before its "
+                         "last part; only the unshifted mzv has a route for it")
     z = complex(z)
     if z.imag == 0 and z.real <= -1 and abs(z.real - round(z.real)) < 1e-12:
         raise ZeroDivisionError("pole: z + n vanishes for a positive integer n")

@@ -64,9 +64,6 @@ def lattice_reduce(z: complex, tau: complex) -> tuple[complex, int, int]:
 # Eisenstein series
 # ---------------------------------------------------------------------------
 
-_GVEC_CACHE: dict = {}
-
-
 def _g_even_qexp(k: int, tau: complex) -> complex:
     """Even G_k by the sigma_{k-1} q-series (k <= 40)."""
     q = np.exp(TWO_PI_I * tau)
@@ -118,14 +115,13 @@ def eisenstein_G(k: int, tau: complex, cfg: EvalConfig | None = None,
         return _eisenstein_G_lattice(k, tau, _as_cfg(cfg))
     if k % 2 == 1:
         return 0.0 + 0.0j
-    key = (tau, k)
-    hit = _GVEC_CACHE.get(key)
-    if hit is None:
-        hit = _g_even_qexp(k, tau) if k <= 40 else _g_ball(k, tau)
-        if len(_GVEC_CACHE) > 40000:
-            _GVEC_CACHE.clear()
-        _GVEC_CACHE[key] = hit
-    return hit
+    return _g_even(k, tau)
+
+
+@lru_cache(maxsize=40000)
+def _g_even(k: int, tau: complex) -> complex:
+    """Even G_k(tau); the 40000 most recently used (k, tau) are cached."""
+    return _g_even_qexp(k, tau) if k <= 40 else _g_ball(k, tau)
 
 
 def _em_tail(x: complex, N: int, k: int) -> complex:

@@ -208,6 +208,8 @@ def test_eval_config_validation():
     assert cfg.refined().M == 160 and cfg.refined().N == 1600
     with pytest.raises(ValueError):
         EvalConfig(M=10, N=5)
+    with pytest.raises(ValueError):     # no lattice point w > 0
+        EvalConfig(M=1, N=1)
     with pytest.raises(ValueError):
         EvalConfig(tol=0.0)
 

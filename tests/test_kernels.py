@@ -1,11 +1,16 @@
 import math
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from multiwp.core import EvalConfig, Index
+from multiwp import meisen, multip
+from multiwp.core import EvalConfig, Index, compositions_ge2
 from multiwp.kernels import kahan_cumsum, lattice_sorted, ordered_sum
-from multiwp.multip import _multivar_split
+from multiwp.meisen import meis_direct
+from multiwp.multip import _multivar_split, multiwp_direct
 
 
 def test_lattice_sorted_order():
@@ -18,6 +23,50 @@ def test_lattice_sorted_order():
     n = np.round(w.real - m * tau.real).astype(int)
     keys = list(zip(m.tolist(), n.tolist()))
     assert keys == sorted(keys)
+
+
+def test_lattice_cache_keeps_the_most_recently_used():
+    lattice_sorted.cache_clear()
+    taus = [0.1 * j + 1.3j for j in range(20)]
+    for tau in taus:
+        lattice_sorted(tau, 2, 3)
+    assert lattice_sorted.cache_info().currsize <= 9
+    kept = lattice_sorted(taus[12], 2, 3)[0]
+    assert lattice_sorted(taus[12], 2, 3)[0] is kept
+    for tau in taus[:8]:
+        lattice_sorted(tau, 2, 3)
+    assert lattice_sorted(taus[12], 2, 3)[0] is kept
+    assert lattice_sorted.cache_info().currsize <= 9
+
+
+def test_lattice_cache_under_threads():
+    # more threads than cores, switching often: every hit must still be the
+    # right lattice and the bound must hold
+    lattice_sorted.cache_clear()
+    taus = [0.05 * j + 1.1j for j in range(30)]
+    wrong = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(200):
+            tau = rng.choice(taus)
+            w, pos0 = lattice_sorted(tau, 2, 3)
+            if w[pos0] != 0 or w[pos0 + 1] != 1 or abs(w[-1] - (tau + 2)) > 1e-12:
+                wrong.append(tau)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+    assert lattice_sorted.cache_info().currsize <= 9
 
 
 def test_ordered_sum_depth1_matches_plain_sum():
@@ -56,11 +105,15 @@ def test_split_matches_plain_in_the_limit():
     assert abs(vals[(400, True)] - limit) < abs(vals[(400, False)] - limit)
 
 
+EPS = np.finfo(np.complex128).eps
+
+
 def _nested_loop_sum(region, shifts, exps, split, boundary_prev):
     """The split ordered sum term by term: slot values (with the last slot's
     -1/((V-1) V^2) under the split), the telescoped row remainder
     -1/(z_r - w - 1) after the second-to-last slot, and for depth 1 the
-    boundary row's surviving term."""
+    boundary row's surviving term.  Returns (sum, the same sum over the
+    absolute values of its factors), the second the scale of the rounding."""
     r, L = len(exps), len(region)
     split = split and exps[-1] == 2
 
@@ -72,35 +125,131 @@ def _nested_loop_sum(region, shifts, exps, split, boundary_prev):
 
     def tail(s, j0):
         if s == r:
-            return 1.0
-        total = 0.0
+            return 1.0, 1.0
+        total, size = 0.0, 0.0
         for j in range(j0, L):
-            inner = tail(s + 1, j + 1)
+            inner, inner_size = tail(s + 1, j + 1)
             if split and s == r - 2:
-                inner += -1.0 / (complex(shifts[-1]) - complex(region[j]) - 1.0)
+                rem = -1.0 / (complex(shifts[-1]) - complex(region[j]) - 1.0)
+                inner, inner_size = inner + rem, inner_size + abs(rem)
             total += f(s, j) * inner
-        return total
+            size += abs(f(s, j)) * inner_size
+        return total, size
 
-    out = tail(0, 0)
+    out, size = tail(0, 0)
     if split and r == 1:
         out += -1.0 / (complex(shifts[0]) - boundary_prev - 1.0)
-    return out
+    return out, size
 
 
-@pytest.mark.parametrize("split", [False, True])
-@pytest.mark.parametrize("exps", [(2,), (3, 2), (2, 4, 2), (3, 2, 2, 2)])
-def test_every_suffix_matches_nested_loop_and_single_sweep(exps, split):
+def _kernel_tol(exps, L):
+    """Rounding budget relative to the absolute-value sum: per factor one
+    reciprocal, k - 1 products and one product with the inner sum, and one
+    addition per point in each running sum."""
+    return 4 * EPS * (sum(exps) + 2 * len(exps) + L)
+
+
+# exponents 2..10, at depths 1 to 4, with and without a trailing 2
+KERNEL_EXPS = [(2,), (3, 2), (2, 4, 2), (3, 2, 2, 2), (7,), (10,), (9, 4), (8, 5, 6), (10, 2, 3, 2)]
+SHIFTS = [0.31 + 0.17j, -0.2 + 0.05j, 0.13 - 0.41j, 0.07 + 0.23j]
+
+
+def _check_every_suffix(exps, shifts, split):
+    """Each suffix sum against the nested loop, and == the call on that
+    suffix alone."""
     w, pos0 = lattice_sorted(0.4 + 1.2j, 3, 4)
     region = w[pos0 + 1:]
-    shifts = [0.31 + 0.17j, -0.2 + 0.05j, 0.13 - 0.41j, 0.07 + 0.23j][:len(exps)]
     out = ordered_sum(region, shifts, list(exps), split_last=split, boundary_prev=0.0)
     assert len(out) == len(exps)
     for s in range(len(exps)):
-        ref = _nested_loop_sum(region, shifts[s:], exps[s:], split, 0.0)
-        assert abs(out[s] - ref) < 1e-12 * (1 + abs(ref)), (s, out[s], ref)
+        ref, size = _nested_loop_sum(region, shifts[s:], exps[s:], split, 0.0)
+        tol = _kernel_tol(exps[s:], len(region))
+        assert abs(out[s] - ref) <= tol * (1 + size), (s, out[s], ref)
         single = ordered_sum(region, shifts[s:], list(exps[s:]), split_last=split,
                              boundary_prev=0.0)[0]
         assert out[s] == single, s
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("exps", KERNEL_EXPS)
+def test_every_suffix_matches_nested_loop_and_single_sweep(exps, split):
+    # one shift per slot, as multiwp_multivar sweeps
+    _check_every_suffix(exps, SHIFTS[:len(exps)], split)
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("exps", KERNEL_EXPS)
+def test_equal_shifts_match_nested_loop_and_single_sweep(exps, split):
+    # one shift in every slot, as multiwp_direct and meis_direct sweep
+    _check_every_suffix(exps, [SHIFTS[0]] * len(exps), split)
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("exps", [(2,), (5, 3), (2, 7, 2)])
+def test_integer_region_matches_nested_loop(exps, split):
+    # multitangent_direct sums over an integer array: z - (-n) = z + n
+    region = -np.arange(-6, 7)
+    shifts = [0.27 + 0.11j] * len(exps)
+    out = ordered_sum(region, shifts, list(exps), split_last=split, boundary_prev=-7)
+    for s in range(len(exps)):
+        ref, size = _nested_loop_sum(region, shifts[s:], exps[s:], split, -7)
+        assert abs(out[s] - ref) <= _kernel_tol(exps[s:], len(region)) * (1 + size)
+
+
+def test_empty_region_is_a_typed_error():
+    with pytest.raises(ValueError):
+        ordered_sum(np.empty(0, dtype=complex), [0.3], [3])
+
+
+def _power_sweep(w, shifts, exps, split_last=False, boundary_prev=None):
+    """The sweep with a complex power v ** -k per slot and one division per
+    split term: an independent route to the lattice evaluators' values."""
+    w = np.asarray(w, dtype=np.complex128)
+    shifts = np.asarray(shifts, dtype=np.complex128)
+    exps = np.asarray(exps, dtype=np.int64)
+    r = len(exps)
+    L = len(w)
+    split_last = bool(split_last and exps[-1] == 2)
+    zr = shifts[r - 1]
+    out = [0j] * r
+    suffix = None
+    for s in range(r - 1, -1, -1):
+        v = shifts[s] - w
+        if s == r - 1 and split_last:
+            vals = -1.0 / ((v - 1.0) * v * v)
+        else:
+            vals = v ** float(-exps[s])
+        if s == r - 1:
+            acc = vals
+        else:
+            nxt = np.empty(L, dtype=np.complex128)
+            nxt[:-1] = suffix[1:]
+            nxt[-1] = 0.0
+            if split_last and s == r - 2:
+                nxt = nxt + (-1.0 / (zr - w - 1.0))
+            acc = vals * nxt
+        suffix = np.cumsum(acc[::-1])[::-1]
+        out[s] = complex(suffix[0])
+    if split_last and boundary_prev is not None:
+        out[r - 1] += -1.0 / (complex(zr) - complex(boundary_prev) - 1.0)
+    return out
+
+
+@pytest.mark.parametrize("z, tau", [(0.23 + 0.17j, 0.3 + 1.1j), (-0.31 + 0.4j, -0.2 + 0.9j)])
+def test_lattice_evaluators_match_the_power_sweep(z, tau, monkeypatch):
+    cfg = EvalConfig(M=4, N=40)
+    indices = [ix for wt in range(2, 9) for ix in compositions_ge2(wt)]
+
+    def values():
+        return ([multiwp_direct(ix, z, tau, cfg) for ix in indices]
+                + [meis_direct(ix, tau, cfg) for ix in indices])
+
+    got = values()
+    monkeypatch.setattr(multip, "ordered_sum", _power_sweep)
+    monkeypatch.setattr(meisen, "ordered_sum", _power_sweep)
+    ref = values()
+    for g, r, ix in zip(got, ref, indices + indices):
+        assert abs(g - r) <= 1e-13 * (1 + abs(r)), (ix, g, r)
 
 
 def _split_one_factor_per_call(index, zs, tau, cfg):

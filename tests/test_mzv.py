@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -115,3 +116,9 @@ def test_hurwitz_pole_guard():
         hurwitz_mzv((2,), -3.0)
     with pytest.raises(ValueError):
         hurwitz_mzv((2, 1), 0.3)
+
+
+@pytest.mark.parametrize("index", [(1, 2), (2, 1, 2)])
+def test_hurwitz_interior_one_is_a_typed_error(index):
+    with pytest.raises(ValueError, match=re.escape(str(index))):
+        hurwitz_mzv(index, 0.3)
