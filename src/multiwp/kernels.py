@@ -26,15 +26,28 @@ the second piece converges absolutely like |w|^-3.
 
 Arithmetic of one sweep
 -----------------------
-The only divisions are one reciprocal 1/(z - w) per distinct shift z of the
-call (every slot of a ``multiwp_direct`` sweep has the same shift) and, under
-the split, one 1/(V_r - 1).  Each power 1/(z - w)^k is built from the
-reciprocal by k - 1 products, as the left fold ((inv*inv)*inv)..., and shared
-by all slots with that shift and exponent.  The 1/(V_r - 1) array serves both
-the split term -1/((V_r - 1) V_r^2) = inv_r^2 * (-1/(V_r - 1)) and the row
-remainder -1/(V_r - 1) added after slot r-2.  Each slot multiplies its powers
-against the previous suffix sums shifted by one point into one reused
-buffer.  The tables live only for the call.
+The sweep runs over the reversed region, so that each suffix sum is a
+forward cumsum, in blocks of ``_BLOCK`` points.  Each block computes its own
+tables into work buffers of one block each, allocated once per call: one
+reciprocal 1/(z - w) per distinct shift z of the call (every slot of a
+``multiwp_direct`` sweep has the same shift), each power 1/(z - w)^k from it
+by k - 1 products as the left fold ((inv*inv)*inv)..., shared by all slots
+with that shift and exponent, and under the split one 1/(V_r - 1), which
+serves both the split term -1/((V_r - 1) V_r^2) = inv_r^2 * (-1/(V_r - 1))
+and the row remainder -1/(V_r - 1) added after slot r-2.  Then slots r-1 ... 0
+run over the block: each multiplies its powers against the previous slot's
+suffix sums shifted by one point, and takes its running sum.
+
+Between blocks each slot carries its last suffix sum.  The work arrays hold
+one point more than a block, in front: there the running sum of slot s
+starts from its carry, and slot s-1's shifted product takes slot s's carry
+as its first factor, in the same vectorized multiply as the rest.  No
+product is written over one of its factors (numpy rounds such a product
+differently when it has one element).  So every product and every addition
+is the one a single cumsum over the whole region would make, in the same
+order: the result does not depend on the block size, and ``out[s]`` is
+``==`` the call on that suffix alone.  No memory of the region's size is
+allocated, and nothing outlives the call.
 """
 from __future__ import annotations
 
@@ -63,26 +76,36 @@ def lattice_sorted(tau: complex, M: int, N: int) -> tuple[np.ndarray, int]:
 # ordered nested sum
 # ---------------------------------------------------------------------------
 
-def _power_tables(wr: np.ndarray, exps_by_shift: dict) -> dict:
-    """{(x, k): (x - wr)**-k} for every shift x and each of its exponents k.
+# Points per block of a sweep, so that a call's few work buffers of this
+# many complex values stay in L2 cache.  On a 2-core Xeon with 2 MiB of L2
+# per core, sweeps of 46k and 184k points took 10-15% longer with blocks of
+# 16384 points and 50% longer with 65536.
+_BLOCK = 8192
 
-    One reciprocal per shift; each power is the left fold
-    ((inv*inv)*inv)..., so a table does not depend on which other exponents
-    were asked for.  A power nobody asked for (the reciprocal itself, once
-    the fold no longer needs it) is overwritten in place by the next one."""
-    tables = {}
+
+def _power_buffers(exps_by_shift: dict, size: int, tmp: np.ndarray) -> tuple[dict, list]:
+    """Work buffers of ``size`` points for the power tables of one call.
+
+    Returns ({(x, k): buffer} for every shift x and each of its exponents k,
+    and per shift (x, reciprocal buffer, [destination of power 2, 3, ...,
+    max k]]).  A power nobody asked for goes to the buffer of the next one
+    asked for or to ``tmp``, alternately, so that no product is written over
+    one of its factors: numpy rounds an in-place product of one element
+    differently from the same product in a longer or out-of-place call."""
+    tables, folds = {}, []
     for x, ks in exps_by_shift.items():
-        inv = np.subtract(x, wr)
-        np.reciprocal(inv, out=inv)
+        inv = np.empty(size, dtype=np.complex128)
         if 1 in ks:
             tables[x, 1] = inv
-        p, top = inv, max(ks)
-        for k in range(2, top + 1):
-            keep = k - 1 in ks or (p is inv and k < top)
-            p = p * inv if keep else np.multiply(p, inv, out=p)
-            if k in ks:
-                tables[x, k] = p
-    return tables
+        kept = sorted(ks - {1})
+        for k in kept:
+            tables[x, k] = np.empty(size, dtype=np.complex128)
+        dests = []
+        for k in range(2, max(ks) + 1):
+            j = min(j for j in kept if j >= k)
+            dests.append(tables[x, j] if (j - k) % 2 == 0 else tmp)
+        folds.append((x, inv, dests))
+    return tables, folds
 
 
 def ordered_sum(w, shifts, exps, split_last=False, boundary_prev=None) -> list[complex]:
@@ -98,48 +121,74 @@ def ordered_sum(w, shifts, exps, split_last=False, boundary_prev=None) -> list[c
     single surviving telescoped boundary term -1/(z - boundary_prev - 1) of
     its row.
     """
-    w = np.asarray(w, dtype=np.complex128)
+    w = np.asarray(w)
     L = len(w)
     if L == 0:
         raise ValueError("ordered_sum needs a non-empty summation region")
     shifts = [complex(x) for x in shifts]
     exps = [int(k) for k in exps]
     r = len(exps)
+    if r == 0 or len(shifts) != r:
+        raise ValueError(f"ordered_sum needs one shift per exponent and at least one "
+                         f"exponent, got {len(shifts)} shifts and {r} exponents")
     split_last = bool(split_last and exps[-1] == 2)
     zr = shifts[-1]
-    # The sweep runs over the reversed region, so that each suffix sum is a
-    # forward cumsum over contiguous memory: pre[i] is the suffix sum from
-    # region point L-1-i on.
-    wr = w[::-1]
     exps_by_shift: dict = {}
     for x, k in zip(shifts, exps):
         exps_by_shift.setdefault(x, set()).add(k)
     if split_last:
         exps_by_shift[zr].add(2)
-        # -1/(V_r - 1): a factor of the split term and the telescoped row
-        # remainder added after slot r-2
-        rem = np.subtract(wr, zr - 1.0)
-        np.reciprocal(rem, out=rem)
-    tables = _power_tables(wr, exps_by_shift)
-    pre = np.empty(L, dtype=np.complex128)
-    buf = np.empty(L, dtype=np.complex128) if r > 1 else None
+    size = min(L, _BLOCK)
+    tmp = np.empty(size, dtype=np.complex128)
+    tables, folds = _power_buffers(exps_by_shift, size, tmp)
+    rem = np.empty(size, dtype=np.complex128) if split_last else None
+    # acc[1 + i] is slot s's term at block point i and pre[1 + i] its suffix
+    # sum; acc[0] = pre[0] is the suffix sum carried from the previous block
+    # (0 before the first block, whose shifted product reads it)
+    acc = np.empty(size + 1, dtype=np.complex128)
+    pre = np.zeros(size + 1, dtype=np.complex128)
+    # out[s]: slot s's suffix sum through the last block swept
     out = [0j] * r
-    for s in range(r - 1, -1, -1):
-        vals = tables[shifts[s], exps[s]]
-        if s == r - 1:
-            acc = np.multiply(vals, rem, out=pre) if split_last else vals
-        else:
-            # slot s pairs each point with the suffix strictly after it
-            if split_last and s == r - 2:
-                np.add(pre[:-1], rem[1:], out=buf[1:])
-                buf[0] = rem[0]
-                np.multiply(buf, vals, out=buf)
+    wr = w[::-1]
+    for i0 in range(0, L, size):
+        # an integer region (multitangent_direct) is converted block by block
+        blk = wr[i0:i0 + size].astype(np.complex128, copy=False)
+        b = len(blk)
+        # the first block starts its running sums at its first term, not at 0
+        lo = 1 if i0 == 0 else 0
+        for x, inv, dests in folds:
+            p = np.subtract(x, blk, out=inv[:b])
+            np.reciprocal(p, out=p)
+            for d in dests:
+                p = np.multiply(p, inv[:b], out=d[:b])
+        if split_last:
+            # -1/(V_r - 1): a factor of the split term and the telescoped row
+            # remainder added after slot r-2
+            np.subtract(blk, zr - 1.0, out=rem[:b])
+            np.reciprocal(rem[:b], out=rem[:b])
+        sums, terms = pre[:b + 1], acc[1:b + 1]
+        for s in range(r - 1, -1, -1):
+            vals = tables[shifts[s], exps[s]][:b]
+            if s == r - 1:
+                if split_last:
+                    np.multiply(vals, rem[:b], out=terms)
+                else:
+                    np.copyto(terms, vals)
             else:
-                np.multiply(vals[1:], pre[:-1], out=buf[1:])
-                buf[0] = 0.0
-            acc = buf
-        np.cumsum(acc, out=pre)
-        out[s] = complex(pre[-1])
+                # slot s pairs each point with the suffix strictly after it
+                if split_last and s == r - 2:
+                    nxt = np.add(sums[:-1], rem[:b], out=tmp[:b])
+                    if lo:
+                        nxt[0] = rem[0]
+                    np.multiply(nxt, vals, out=terms)
+                else:
+                    np.multiply(vals, sums[:-1], out=terms)
+                    if lo:
+                        terms[0] = 0.0
+                out[s + 1] = complex(sums[-1])
+            acc[0] = out[s]
+            np.cumsum(acc[lo:b + 1], out=sums[lo:])
+        out[0] = complex(sums[-1])
     if split_last and boundary_prev is not None:
         out[r - 1] += -1.0 / (zr - complex(boundary_prev) - 1.0)
     return out

@@ -2,11 +2,12 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from multiwp import meisen, multip
+from multiwp import kernels, meisen, multip
 from multiwp.core import EvalConfig, Index, compositions_ge2
 from multiwp.kernels import kahan_cumsum, lattice_sorted, ordered_sum
 from multiwp.meisen import meis_direct
@@ -199,6 +200,149 @@ def test_integer_region_matches_nested_loop(exps, split):
 def test_empty_region_is_a_typed_error():
     with pytest.raises(ValueError):
         ordered_sum(np.empty(0, dtype=complex), [0.3], [3])
+
+
+@pytest.mark.parametrize("shifts, exps", [([0.3, 0.4, 0.5], [2, 3]), ([0.3], [2, 2]),
+                                          ([], []), ([0.3], [])])
+def test_shift_and_exponent_counts_are_checked(shifts, exps):
+    region = lattice_sorted(0.4 + 1.2j, 3, 4)[0][20:]
+    with pytest.raises(ValueError, match=f"{len(shifts)} shifts and {len(exps)} exponents"):
+        ordered_sum(region, shifts, exps)
+
+
+def _one_pass_sum(w, shifts, exps, split_last=False, boundary_prev=None):
+    """The sweep over the whole region at once, with tables and work arrays
+    of the region's length: the arithmetic the blocked kernel must repeat
+    bit for bit.  No product is written over one of its factors, since numpy
+    rounds such a product differently when the array has one element."""
+    w = np.asarray(w, dtype=np.complex128)
+    shifts = [complex(x) for x in shifts]
+    exps = [int(k) for k in exps]
+    r, L = len(exps), len(w)
+    split_last = bool(split_last and exps[-1] == 2)
+    zr = shifts[-1]
+    wr = w[::-1]
+    exps_by_shift = {}
+    for x, k in zip(shifts, exps):
+        exps_by_shift.setdefault(x, set()).add(k)
+    if split_last:
+        exps_by_shift[zr].add(2)
+        rem = np.reciprocal(np.subtract(wr, zr - 1.0))
+    tables = {}
+    for x, ks in exps_by_shift.items():
+        inv = np.reciprocal(np.subtract(x, wr))
+        p = inv
+        tables[x, 1] = inv
+        for k in range(2, max(ks) + 1):
+            p = p * inv
+            tables[x, k] = p
+    pre = None
+    out = [0j] * r
+    for s in range(r - 1, -1, -1):
+        vals = tables[shifts[s], exps[s]]
+        if s == r - 1:
+            acc = vals * rem if split_last else vals
+        else:
+            acc = np.empty(L, dtype=np.complex128)
+            if split_last and s == r - 2:
+                acc[1:] = pre[:-1] + rem[1:]
+                acc[0] = rem[0]
+                acc = acc * vals
+            else:
+                acc[1:] = vals[1:] * pre[:-1]
+                acc[0] = 0.0
+        pre = np.cumsum(acc)
+        out[s] = complex(pre[-1])
+    if split_last and boundary_prev is not None:
+        out[r - 1] += -1.0 / (zr - complex(boundary_prev) - 1.0)
+    return out
+
+
+def _bits(values):
+    return np.array(values, dtype=np.complex128).view(np.float64).tobytes()
+
+
+BLOCK = 7
+BLOCK_EXPS = [(2,), (5,), (1, 2), (3, 2), (2, 4, 2), (4, 3, 3), (3, 2, 2, 2), (2, 3, 1, 4)]
+
+
+@pytest.mark.parametrize("L", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2])
+@pytest.mark.parametrize("exps", BLOCK_EXPS)
+def test_blocks_repeat_the_one_pass_sweep(L, exps, monkeypatch):
+    # block boundaries at every position relative to the region's ends
+    monkeypatch.setattr(kernels, "_BLOCK", BLOCK)
+    w, pos0 = lattice_sorted(0.4 + 1.2j, 4, 5)
+    region, prev = w[pos0 + 1:pos0 + 1 + L], w[pos0]
+    assert len(region) == L
+    for shifts in ([SHIFTS[0]] * len(exps), SHIFTS[:len(exps)]):
+        for split in (False, True):
+            got = ordered_sum(region, shifts, list(exps), split_last=split, boundary_prev=prev)
+            ref = _one_pass_sum(region, shifts, list(exps), split_last=split, boundary_prev=prev)
+            assert got == ref and _bits(got) == _bits(ref), (shifts, split)
+
+
+@pytest.mark.parametrize("exps", [(2,), (5, 3), (2, 7, 2), (2, 2, 2, 2)])
+def test_blocks_repeat_the_one_pass_sweep_on_integers(exps, monkeypatch):
+    # the multitangent_direct region, without and with a split
+    monkeypatch.setattr(kernels, "_BLOCK", BLOCK)
+    region = -np.arange(-12, 13)
+    shifts = [0.27 + 0.11j] * len(exps)
+    for split in (False, True):
+        got = ordered_sum(region, shifts, list(exps), split_last=split, boundary_prev=-13)
+        ref = _one_pass_sum(region, shifts, list(exps), split_last=split, boundary_prev=-13)
+        assert got == ref and _bits(got) == _bits(ref), split
+
+
+def _traced_peak(region, shifts, exps):
+    tracemalloc.start()
+    try:
+        ordered_sum(region, shifts, exps, split_last=True, boundary_prev=0.0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_does_not_grow_with_the_region():
+    # the 4N region of a lattice-check batch (M=12, N=8000): 184k points,
+    # 2.9 MB per region-length complex array
+    tau, z = 0.3 + 1.1j, 0.23 + 0.17j
+    peaks = {}
+    for N in (2000, 8000):
+        w, pos0 = lattice_sorted(tau, 12, N)
+        peaks[N] = _traced_peak(w[pos0 + 1:], [z] * 3, [4, 3, 2])
+    assert len(w) - pos0 - 1 > 180_000
+    assert peaks[8000] < 4 * 2**20
+    assert peaks[8000] <= peaks[2000]
+
+
+def test_threads_sweeping_at_once_match_serial_sweeps():
+    tau = 0.3 + 1.1j
+    w, pos0 = lattice_sorted(tau, 6, 3000)
+    jobs = [(w[pos0 + 1:], [0.23 + 0.17j] * 3, [3, 2, 2]),
+            (w[:pos0][::-1], [-0.23 - 0.17j] * 4, [2, 4, 3, 2]),
+            (w[pos0 + 1:pos0 + 20_000], SHIFTS[:2], [5, 2])]
+    serial = [ordered_sum(reg, sh, ex, split_last=True, boundary_prev=0.0)
+              for reg, sh, ex in jobs]
+    results = {}
+
+    def work(i):
+        reg, sh, ex = jobs[i % len(jobs)]
+        results[i] = [ordered_sum(reg, sh, ex, split_last=True, boundary_prev=0.0)
+                      for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(6):
+        assert results[i] == [serial[i % len(jobs)]] * 3, i
 
 
 def _power_sweep(w, shifts, exps, split_last=False, boundary_prev=None):
