@@ -1,7 +1,8 @@
 """Shared combinatorial substrate: indices, partitions, partition traces,
 the quasi-shuffle (stuffle) product and its expansion of symbol products,
 the binomial coupling of the reduction theorem, Bernoulli numbers,
-truncated power series, and the evaluation configuration.
+truncated power series, the evaluation configuration, and the error a capped
+series raises.
 
 Everything here is exact (integers / `fractions.Fraction`); floating point
 enters only through the callers.  All values are immutable after
@@ -15,6 +16,10 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Sequence
+
+
+class ConvergenceError(ArithmeticError):
+    """A series reached its term cap before its stopping test held."""
 
 
 class Index(tuple):

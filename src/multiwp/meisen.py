@@ -11,6 +11,12 @@ and monotangents at m tau are geometric q-series by Lipschitz summation
     Psi_k(x) = sum_{n in Z} (x+n)^-k = (-2 pi i)^k/(k-1)! sum_{d>0} d^{k-1} e^{2 pi i d x}
 
 for Im(x) > 0 (the sign is pinned by the direct-sum oracle in the tests).
+
+One suffix DP over 0 < m_1 < ... < m_h (`_suffix_dp`) sums every such
+splitting, given one q-series per block and the prefix values.  It has three
+callers: `meis_qexp` (blocks at x = q^m, MZV prefixes), `g_function`
+(length-1 blocks at x = xi q^m, xi = e^{2 pi i z}, no prefix) and
+`multip.multiwp_tilde_fourier` (blocks at x = xi q^m, Hurwitz MZV prefixes).
 """
 from __future__ import annotations
 
@@ -27,9 +33,8 @@ from .mzv import mzv
 from .weier import TWO_PI_I, _check_tau, _em_tail, lipschitz_psi
 
 __all__ = [
-    "QOrderError", "MultitangentReduction", "WordDecomposition", "word_splittings",
-    "monotangent", "multitangent_reduce", "multitangent_direct",
-    "meis_direct", "meis_direct_error", "meis_qexp", "g_function",
+    "QOrderError", "MultitangentReduction", "monotangent", "multitangent_reduce",
+    "multitangent_direct", "meis_direct", "meis_direct_error", "meis_qexp", "g_function",
     "g_function_direct",
 ]
 
@@ -119,52 +124,6 @@ def multitangent_reduce(index) -> MultitangentReduction:
 
 
 # ---------------------------------------------------------------------------
-# word decomposition of the ordered lattice sum
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WordDecomposition:
-    """One way of grouping (k_1..k_r) into an m=0 prefix and m>0 blocks.
-
-    boundaries are the appendix-style cut positions t_0 = 1 < t_1 < ... <
-    t_h = r+1 over the block part of the index.
-    """
-
-    mzv_prefix: Index
-    blocks: tuple[Index, ...]
-
-    @property
-    def boundaries(self) -> tuple[int, ...]:
-        out = [1]
-        for b in self.blocks:
-            out.append(out[-1] + len(b))
-        return tuple(out)
-
-
-def word_splittings(index):
-    """All splittings of an index into m=0 prefix + ordered positive-m blocks."""
-    index = Index(index)
-    r = index.depth
-    for j in range(r + 1):
-        prefix, rest = Index(index[:j]), index[j:]
-        n = len(rest)
-        if n == 0:
-            yield WordDecomposition(prefix, ())
-            continue
-        for mask in range(1 << (n - 1)):
-            blocks = []
-            cur = [rest[0]]
-            for i in range(1, n):
-                if mask >> (i - 1) & 1:
-                    blocks.append(Index(cur))
-                    cur = [rest[i]]
-                else:
-                    cur.append(rest[i])
-            blocks.append(Index(cur))
-            yield WordDecomposition(prefix, tuple(blocks))
-
-
-# ---------------------------------------------------------------------------
 # direct (slow) evaluation
 # ---------------------------------------------------------------------------
 
@@ -202,26 +161,33 @@ def meis_direct_error(index, tau: complex,
 # q-expansion pipeline
 # ---------------------------------------------------------------------------
 
-def _p_matrix(exponents, q: complex, mmax: int, dmax: int) -> dict[int, np.ndarray]:
-    """P_n(q^m) = sum_{d=1}^{dmax} d^{n-1} q^{m d} for each n, m = 1..mmax."""
+def _p_matrix(x: np.ndarray, dmax: int, nmax: int) -> np.ndarray:
+    """Row n - 2 holds P_n(x_m) = sum_{d=1}^{dmax} d^{n-1} x_m^d, n = 2..nmax."""
     d = np.arange(1.0, dmax + 1)
-    x = q ** np.arange(1, mmax + 1)
     xpow = x[None, :] ** d[:, None]  # (dmax, mmax)
-    out = {}
-    for n in set(exponents):
-        out[n] = (d ** (n - 1)) @ xpow
-    return out
+    return np.array([(d ** (n - 1)) @ xpow for n in range(2, nmax + 1)])
 
 
-def _ordered_m_dp(pvals: list[np.ndarray]) -> complex:
-    """sum over 0 < m_1 < ... < m_h of prod_i pvals[i][m_i - 1]."""
-    mmax = len(pvals[0])
-    A = np.ones(mmax + 1, dtype=complex)  # A_0(m) = 1
-    for P in pvals:
-        Anew = np.zeros(mmax + 1, dtype=complex)
-        Anew[1:] = np.cumsum(P * A[:-1])
-        A = Anew
-    return complex(A[mmax])
+def _suffix_dp(Q: np.ndarray, prefix) -> complex:
+    """Sum over the splittings of k_1..k_r into a prefix k_1..k_j, valued
+    prefix[j], and blocks at 0 < m_1 < ... < m_h, block b valued Q_b(m).
+
+    Q has one row per block k_{i+1..t}, for i = r-1, ..., 0 and then
+    t = i+1..r (the layout of `_amplitude_matrix`), and one column per
+    m = 1..mmax.  R_i(m) is the sum over the block splittings of k_{i+1..r}
+    with every m' > m:  R_r = 1,
+    R_i(m) = sum_{t > i} sum_{m' > m} Q_{k_{i+1..t}}(m') R_t(m'),
+    so that the sum is sum_j prefix[j] R_j(0).  Every m-sum stops at mmax.
+    """
+    r = len(prefix) - 1
+    R = np.zeros((r + 1, Q.shape[1] + 1), dtype=complex)  # R[i, m] = R_i(m), m = 0..mmax
+    R[r] = 1.0
+    row = 0
+    for i in range(r - 1, -1, -1):
+        S = (Q[row:row + r - i] * R[i + 1:, 1:]).sum(axis=0)  # m' = 1..mmax
+        R[i, :-1] = np.cumsum(S[::-1])[::-1]
+        row += r - i
+    return complex(np.dot(prefix, R[:, 0]))
 
 
 @lru_cache(maxsize=None)
@@ -254,15 +220,8 @@ def _amplitude_matrix(index: tuple, digits: int) -> np.ndarray:
 
 @lru_cache(maxsize=4096)
 def _meis_qexp_cached(index: tuple, tau: complex, q_order: int, digits: int) -> complex:
-    """Sum over the word splittings of index as one suffix DP.
-
-    A splitting is an m = 0 prefix k_1..k_j followed by blocks with
-    0 < m_1 < ... < m_h.  Each block b sums to Q_b(m) = Psi_b(m tau), and
-    R_i(m) is the sum over the block splittings of k_{i+1..r} with every
-    m' > m:  R_r = 1,  R_i(m) = sum_{t > i} sum_{m' > m} Q_{k_{i+1..t}}(m') R_t(m'),
-    so that the series is sum_j zeta(k_1..k_j) R_j(0).  Every m-sum stops
-    at mmax.
-    """
+    """The suffix DP with block b at Q_b(m) = Psi_b(m tau), from x = q^m, and
+    the MZV prefixes."""
     r, w = len(index), sum(index)
     q = complex(np.exp(TWO_PI_I * tau))
     aq = abs(q)
@@ -273,16 +232,8 @@ def _meis_qexp_cached(index: tuple, tau: complex, q_order: int, digits: int) -> 
             f"{aq ** (q_order + 1):.2e} exceeds the target precision; need ~{need}")
     mmax = min(q_order, need)
     dmax = min(q_order, max(need, 8))
-    pmat = _p_matrix(range(2, w + 1), q, mmax, dmax)
-    Q = _amplitude_matrix(index, digits) @ np.array([pmat[n] for n in range(2, w + 1)])
-    R = np.zeros((r + 1, mmax + 1), dtype=complex)  # R[i, m] = R_i(m), m = 0..mmax
-    R[r] = 1.0
-    row = 0
-    for i in range(r - 1, -1, -1):
-        S = (Q[row:row + r - i] * R[i + 1:, 1:]).sum(axis=0)  # m' = 1..mmax
-        R[i, :-1] = np.cumsum(S[::-1])[::-1]
-        row += r - i
-    return complex(np.dot(_prefix_values(index, digits), R[:, 0]))
+    P = _p_matrix(q ** np.arange(1, mmax + 1), dmax, w)
+    return _suffix_dp(_amplitude_matrix(index, digits) @ P, _prefix_values(index, digits))
 
 
 def meis_qexp(index, tau: complex, q_order: int = 64, digits: int = 12) -> complex:
@@ -302,9 +253,25 @@ def meis_qexp(index, tau: complex, q_order: int = 64, digits: int = 12) -> compl
 # g-functions (positive-m half-lattice sums with free integer parts)
 # ---------------------------------------------------------------------------
 
+def _strip_p_matrix(z: complex, tau: complex, depth: int, nmax: int,
+                    q_order: int) -> np.ndarray:
+    """`_p_matrix` at x = xi q^m, xi = e^{2 pi i z}, for a strip series of
+    the given depth: m runs to mmax = depth + 1 past the point where
+    max(|xi q|, |q|)^m falls below 1e-18, and d to 4 mmax."""
+    q = complex(np.exp(TWO_PI_I * tau))
+    xi = complex(np.exp(TWO_PI_I * z))
+    if abs(xi * q) >= 1:
+        raise ValueError("strip violated: need Im(z) > -Im(tau)")
+    need = int(np.ceil(log(1e-18) / log(max(abs(xi * q), abs(q))))) + depth + 1
+    if need > q_order:
+        raise QOrderError(f"q_order={q_order} too small for the strip point; need ~{need}")
+    return _p_matrix(xi * q ** np.arange(1, need + 1), 4 * need, nmax)
+
+
 def g_function(index, z: complex, tau: complex, q_order: int = 64) -> complex:
     """g_{k_1..k_r}(z) = sum over 0<m_1<...<m_r, n_i in Z of
-    prod (z + m_i tau + n_i)^{-k_i}, via its xi, q double series.
+    prod (z + m_i tau + n_i)^{-k_i}, via its xi, q double series: the suffix
+    DP with only length-1 blocks, Q_{k_i}(m) = Psi_{k_i}(z + m tau).
 
     Valid in the strip |Im z| < Im tau (the empty index gives 1)."""
     index = Index(index)
@@ -312,26 +279,12 @@ def g_function(index, z: complex, tau: complex, q_order: int = 64) -> complex:
     tau = _check_tau(tau)
     if index.depth == 0:
         return 1.0 + 0.0j
-    z = complex(z)
-    q = complex(np.exp(TWO_PI_I * tau))
-    xi = complex(np.exp(TWO_PI_I * z))
-    if abs(xi * q) >= 1:
-        raise ValueError("strip violated: need Im(z) > -Im(tau)")
-    aq = abs(xi * q)
-    need = int(np.ceil(log(1e-18) / log(max(aq, abs(q))))) + index.depth + 1
-    if need > q_order:
-        raise QOrderError(f"q_order={q_order} too small for the strip point; need ~{need}")
-    mmax = min(q_order, need)
-    dmax = min(4 * q_order, 4 * need)
-    d = np.arange(1.0, dmax + 1)
-    x = xi * q ** np.arange(1, mmax + 1)
-    xpow = x[None, :] ** d[:, None]
-    pvals = []
-    amp = 1.0 + 0.0j
-    for k in index:
-        pvals.append((d ** (k - 1)) @ xpow)
-        amp *= (-TWO_PI_I) ** k / factorial(k - 1)
-    return amp * _ordered_m_dp(pvals)
+    r = index.depth
+    P = _strip_p_matrix(complex(z), tau, r, max(index), q_order)
+    Q = np.zeros((r * (r + 1) // 2, P.shape[1]), dtype=complex)
+    for i, k in enumerate(index):  # the block k_{i+1} opens row group i
+        Q[(r - i - 1) * (r - i) // 2] = (-TWO_PI_I) ** k / factorial(k - 1) * P[k - 2]
+    return _suffix_dp(Q, (1.0,) + (0.0,) * r)
 
 
 def g_function_direct(index, z: complex, tau: complex, mmax: int = 40,

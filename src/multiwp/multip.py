@@ -15,12 +15,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-
-from .core import EvalConfig, Index, compositions_fixed, couplings, stuffle_expand
+from .core import (ConvergenceError, EvalConfig, Index, compositions_fixed, couplings,
+                   stuffle_expand)
 from .kernels import lattice_sorted, ordered_sum
-from .meisen import (_require_admissible, g_function, meis_qexp, monotangent,
-                     multitangent_reduce, word_splittings)
-from .weier import TWO_PI_I, _as_cfg, _check_tau, wp_k
+from .meisen import (_amplitude_matrix, _require_admissible, _strip_p_matrix, _suffix_dp,
+                     g_function, meis_qexp, monotangent, multitangent_reduce)
+from .mzv import hurwitz_mzv
+from .weier import TWO_PI_I, _as_cfg, _check_tau, lattice_reduce, wp_k
 
 __all__ = [
     "multiwp_tilde", "multiwp_direct", "multiwp_raw",
@@ -46,6 +47,9 @@ def _tilde_kernel(index: Index, xs, tau: complex, cfg: EvalConfig) -> list[compl
 
 def _tilde_taylor(index: Index, xs, tau: complex, q_order: int, digits: int,
                   tol: float, max_order: int = 26) -> complex:
+    """The Eisenstein Taylor series of the restricted wp, summed shell by shell
+    (total order p); stops after two small shells with p >= 4 and raises
+    ConvergenceError when max_order comes first."""
     r = index.depth
     total = 0.0 + 0.0j
     small = 0
@@ -60,8 +64,10 @@ def _tilde_taylor(index: Index, xs, tau: complex, q_order: int, digits: int,
         total += shell
         small = small + 1 if abs(shell) <= tol * (1.0 + abs(total)) else 0
         if small >= 2 and p >= 4:
-            break
-    return total
+            return total
+    raise ConvergenceError(
+        f"restricted wp Taylor series of {tuple(index)} not converged at order "
+        f"{max_order}: last shell size {abs(shell):.2e}, tol {tol:.1e}")
 
 
 def multiwp_tilde(index, xs, tau: complex, cfg: EvalConfig | None = None,
@@ -79,7 +85,6 @@ def multiwp_tilde(index, xs, tau: complex, cfg: EvalConfig | None = None,
     xs = [complex(x) for x in xs]
     if len(xs) != index.depth:
         raise ValueError("one argument per index part")
-    from .weier import lattice_reduce
     for x in xs:
         z0, a, b = lattice_reduce(x, tau)
         if abs(z0) < 1e-12 and (a > 0 or (a == 0 and b > 0)):
@@ -149,7 +154,6 @@ def multiwp_direct(index, z: complex, tau: complex,
     tau = _check_tau(tau)
     cfg = _as_cfg(cfg)
     z = complex(z)
-    from .weier import lattice_reduce
     if abs(lattice_reduce(z, tau)[0]) < 1e-12:
         raise ZeroDivisionError("multiwp pole: z on the lattice")
     return _split_extrapolated(index, [z] * index.depth, tau, cfg)
@@ -177,7 +181,6 @@ def multiwp_multivar(index, zs, tau: complex,
     zs = [complex(z) for z in zs]
     if len(zs) != index.depth:
         raise ValueError("one z per index part")
-    from .weier import lattice_reduce
     if any(abs(lattice_reduce(z, tau)[0]) < 1e-12 for z in zs):
         raise ZeroDivisionError("multiwp pole: some z_i on the lattice")
     return _split_extrapolated(index, zs, tau, _as_cfg(cfg))
@@ -341,43 +344,26 @@ def antipode_residual(r: int, xs, tau: complex,
 def multiwp_tilde_fourier(index, z: complex, tau: complex, q_order: int = 64,
                           digits: int = 12) -> complex:
     """tilde wp_{k_1..k_r}(-z, ..., -z) in the strip 0 < Im z < Im tau via its
-    Fourier structure: the m = 0 block gives a Hurwitz multiple zeta value,
-    each run of positive rows a multitangent reduced to monotangents, and the
-    ordered monotangent products over 0 < m_1 < ... < m_h are g-functions:
+    Fourier structure: the m = 0 prefix gives a Hurwitz multiple zeta value and
+    each run of positive rows a multitangent Psi_block(z + m tau), so that
 
         (-1)^k sum over splittings  zeta^(z)(prefix) *
-            sum over block reductions  prod coeff * g_{n_1..n_h}(z).
+            sum over 0 < m_1 < ... < m_h  prod Psi_block_i(z + m_i tau),
 
-    Numeric spot-check, depth <= 2.
+    the suffix DP of `meisen` at x = xi q^m with Hurwitz prefixes.
     """
     index = Index(index)
     _require_admissible(index)
     tau = _check_tau(tau)
     z = complex(z)
-    if index.depth > 2:
-        raise ValueError("spot-check supports depth <= 2 only")
     if not (0 < z.imag < tau.imag):
         raise ValueError("strip violated: need 0 < Im z < Im tau")
-    from .mzv import hurwitz_mzv
-
-    total = 0.0 + 0.0j
-    for sp in word_splittings(index):
-        pre = hurwitz_mzv(sp.mzv_prefix, z, digits).value if sp.mzv_prefix.depth else 1.0
-        if not sp.blocks:
-            total += pre
-            continue
-        reds = [multitangent_reduce(b).coefficients(digits) for b in sp.blocks]
-
-        def rec(j: int, coeff: complex, ns: list):
-            nonlocal total
-            if j == len(reds):
-                total += pre * coeff * g_function(Index(ns), z, tau, q_order)
-                return
-            for n, c in reds[j].items():
-                rec(j + 1, coeff * c, ns + [n])
-
-        rec(0, 1.0, [])
-    return (-1) ** (index.weight % 2) * total
+    if index.depth == 0:
+        return 1.0 + 0.0j
+    ix = tuple(index)
+    P = _strip_p_matrix(z, tau, index.depth, index.weight, q_order)
+    prefix = [hurwitz_mzv(ix[:j], z, digits).value for j in range(index.depth + 1)]
+    return (-1) ** (index.weight % 2) * _suffix_dp(_amplitude_matrix(ix, digits) @ P, prefix)
 
 
 # ---------------------------------------------------------------------------

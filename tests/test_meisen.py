@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,11 +9,10 @@ from multiwp import meisen
 from multiwp.core import EvalConfig, Index, compositions_ge2
 from multiwp.mzv import mzv, mzv_value
 from multiwp.weier import eisenstein_G
-from multiwp.meisen import (MultitangentReduction, QOrderError, WordDecomposition,
-                            _meis_qexp_cached, _ordered_m_dp, _p_matrix, g_function,
-                            g_function_direct, meis_direct, meis_direct_error,
-                            meis_qexp, monotangent, multitangent_direct,
-                            multitangent_reduce, word_splittings)
+from multiwp.meisen import (MultitangentReduction, QOrderError, _meis_qexp_cached,
+                            _p_matrix, _suffix_dp, g_function, g_function_direct,
+                            meis_direct, meis_direct_error, meis_qexp, monotangent,
+                            multitangent_direct, multitangent_reduce)
 
 TAU = 2j
 
@@ -81,6 +81,49 @@ def test_multitangent_reduction_interior_one_vs_direct_sum():
     for ix in [(3, 1, 2), (2, 1, 3)]:
         red = multitangent_reduce(ix).evaluate(z)
         assert abs(red - multitangent_direct(ix, z, N=40000)) < 2e-3, ix
+
+
+@dataclass(frozen=True)
+class WordDecomposition:
+    """One way of grouping (k_1..k_r) into an m=0 prefix and m>0 blocks.
+
+    boundaries are the appendix-style cut positions t_0 = 1 < t_1 < ... <
+    t_h = r+1 over the block part of the index.
+    """
+
+    mzv_prefix: Index
+    blocks: tuple[Index, ...]
+
+    @property
+    def boundaries(self) -> tuple[int, ...]:
+        out = [1]
+        for b in self.blocks:
+            out.append(out[-1] + len(b))
+        return tuple(out)
+
+
+def word_splittings(index):
+    """All splittings of an index into m=0 prefix + ordered positive-m blocks
+    (the reference enumeration behind the suffix DP)."""
+    index = Index(index)
+    r = index.depth
+    for j in range(r + 1):
+        prefix, rest = Index(index[:j]), index[j:]
+        n = len(rest)
+        if n == 0:
+            yield WordDecomposition(prefix, ())
+            continue
+        for mask in range(1 << (n - 1)):
+            blocks = []
+            cur = [rest[0]]
+            for i in range(1, n):
+                if mask >> (i - 1) & 1:
+                    blocks.append(Index(cur))
+                    cur = [rest[i]]
+                else:
+                    cur.append(rest[i])
+            blocks.append(Index(cur))
+            yield WordDecomposition(prefix, tuple(blocks))
 
 
 def test_word_splittings():
@@ -158,7 +201,7 @@ def _meis_qexp_by_splittings(ix, tau, q_order=64, digits=12):
     q = complex(np.exp(2j * math.pi * tau))
     need = int(np.ceil(math.log(1e-18) / math.log(abs(q)))) + ix.depth + 1
     mmax, dmax = min(q_order, need), min(q_order, max(need, 8))
-    pmat = _p_matrix(range(2, ix.weight + 1), q, mmax, dmax)
+    P = _p_matrix(q ** np.arange(1, mmax + 1), dmax, ix.weight)
     total = 0.0 + 0.0j
     for sp in word_splittings(ix):
         pre = mzv(sp.mzv_prefix, digits).value if sp.mzv_prefix.depth else 1.0
@@ -167,7 +210,7 @@ def _meis_qexp_by_splittings(ix, tau, q_order=64, digits=12):
             term = pre
             for n, c in choice:
                 term *= c * (-2j * math.pi) ** n / math.factorial(n - 1)
-            total += term * (_loop_m_dp([pmat[n] for n, _ in choice]) if choice else 1.0)
+            total += term * (_loop_m_dp([P[n - 2] for n, _ in choice]) if choice else 1.0)
     return total
 
 
@@ -179,16 +222,27 @@ def test_meis_qexp_matches_word_splitting_sum():
                 assert abs(meis_qexp(ix, tau) - ref) <= 1e-12 * (1 + abs(ref)), (ix, tau)
 
 
-def test_ordered_m_dp_matches_nested_loops():
+def test_suffix_dp_matches_nested_loops():
+    # the DP against the splitting sum: prefix[j] times one nested-loop m-sum
+    # per splitting, with random block rows in the _amplitude_matrix layout
     rng = np.random.default_rng(7)
-    for h in range(1, 5):
-        for mmax in (h, 5, 9):
-            pvals = [(rng.normal(size=mmax) + 1j * rng.normal(size=mmax))
-                     * 10.0 ** rng.integers(-6, 7) for _ in range(h)]
-            ref = sum(math.prod(P[m - 1] for P, m in zip(pvals, ms))
-                      for ms in itertools.combinations(range(1, mmax + 1), h))
-            scale = math.prod(np.abs(P).sum() for P in pvals)
-            assert abs(_ordered_m_dp(pvals) - ref) <= 1e-14 * scale, (h, mmax)
+    for r in range(1, 5):
+        rows = {(i, t): row for row, (i, t) in enumerate(
+            (i, t) for i in range(r - 1, -1, -1) for t in range(i + 1, r + 1))}
+        for mmax in (1, r, 5, 9):
+            Q = ((rng.normal(size=(len(rows), mmax)) + 1j * rng.normal(size=(len(rows), mmax)))
+                 * 10.0 ** rng.integers(-6, 7, size=(len(rows), 1)))
+            prefix = rng.normal(size=r + 1) + 1j * rng.normal(size=r + 1)
+            ref, scale = 0.0, 0.0
+            for sp in word_splittings(range(2, r + 2)):
+                i, pvals = sp.mzv_prefix.depth, []
+                for b in sp.blocks:
+                    pvals.append(Q[rows[(i, i + len(b))]])
+                    i += len(b)
+                j = sp.mzv_prefix.depth
+                ref += prefix[j] * (_loop_m_dp(pvals) if pvals else 1.0)
+                scale += abs(prefix[j]) * math.prod(np.abs(P).sum() for P in pvals)
+            assert abs(_suffix_dp(Q, prefix) - ref) <= 1e-14 * scale, (r, mmax)
 
 
 def test_meis_qexp_tau_cache_is_bounded():
@@ -244,10 +298,21 @@ def test_g_function_dual():
         g_function((2,), -0.2 - 2.5j, TAU)
 
 
+def test_g_function_depth_3_and_4_vs_direct():
+    # relative, since g at depth 4 is as small as 1e-16 here; the direct rows
+    # lose ~1e-17 absolute to cancellation once Im(z + m tau) is large, which
+    # puts the direct value of the smallest g ~1e-9 off
+    tau, z = 0.1 + 0.7j, 0.2 + 0.3j
+    for ix in [(2, 2, 2), (2, 3, 2), (3, 2, 4), (2, 2, 2, 2), (3, 2, 2, 2)]:
+        for zz in (z, -z):
+            gq = g_function(ix, zz, tau)
+            gd = g_function_direct(ix, zz, tau)
+            assert abs(gq - gd) <= 1e-8 * abs(gd), (ix, zz)
+
+
 def test_word_decomposition_completeness():
     # wp_{k_r..k_1}(z) = sum over words of ordered m-sums of multitangent blocks
     from multiwp.multip import multiwp_direct
-    from multiwp.meisen import word_splittings
 
     z = 0.23 + 0.31j
     MW = 12
@@ -256,18 +321,10 @@ def test_word_decomposition_completeness():
         total = 0.0 + 0.0j
         # all cuts of (k_1..k_r) into h >= 1 consecutive blocks, each block
         # summed over -MW < m_1 < ... < m_h < MW (the appendix ws-display)
-        rest = tuple(ix)
-        n = len(rest)
-        for mask in range(1 << (n - 1)):
-            blocks = []
-            cur = [rest[0]]
-            for i in range(1, n):
-                if mask >> (i - 1) & 1:
-                    blocks.append(tuple(cur))
-                    cur = [rest[i]]
-                else:
-                    cur.append(rest[i])
-            blocks.append(tuple(cur))
+        for sp in word_splittings(ix):
+            if sp.mzv_prefix:
+                continue
+            blocks = sp.blocks
             reds = [multitangent_reduce(b).coefficients() for b in blocks]
 
             def block_val(bi, m):

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from multiwp.core import EvalConfig, Index
+from multiwp.core import ConvergenceError, EvalConfig, Index
 from multiwp.qmod import QuasiModular, WpPolynomial
 from multiwp import weier
 from multiwp.meisen import meis_direct, meis_qexp
-from multiwp.multip import (antipode_residual, fourier_c, modular_transform_check,
-                            multiwp22_fourier, multiwp_direct, multiwp_multivar,
-                            multiwp_raw, multiwp_reduce, multiwp_tilde)
+from multiwp.multip import (_tilde_kernel, _tilde_taylor, antipode_residual, fourier_c,
+                            modular_transform_check, multiwp22_fourier, multiwp_direct,
+                            multiwp_multivar, multiwp_raw, multiwp_reduce, multiwp_tilde,
+                            multiwp_tilde_fourier)
 from multiwp.verify import _wp_poly_matches_reduction
 
 TAU = 2j
@@ -53,6 +54,13 @@ def test_tilde_taylor_matches_kernel():
     vk = multiwp_tilde((2, 2), xs, TAU, EvalConfig(M=12, N=24000), method="direct")
     assert abs(vt - vk) < 1e-7
     assert multiwp_tilde((), [], TAU, CFG) == 1.0
+
+
+def test_tilde_taylor_raises_at_its_order_cap():
+    # the loop can only stop at p >= 4, so max_order = 3 must raise
+    xs = [0.13 + 0.07j, -0.11 + 0.05j]
+    with pytest.raises(ConvergenceError, match=r"\(2, 2\).*last shell size"):
+        _tilde_taylor(Index((2, 2)), xs, TAU, 64, 13, 1e-12, max_order=3)
 
 
 def test_tilde_taylor_coefficients_vs_cauchy():
@@ -263,15 +271,20 @@ def test_closed_form_argument_errors():
 
 
 def test_tilde_fourier_spot_check():
-    # restricted wp at reflected arguments via Hurwitz zetas + g-functions
-    from multiwp.multip import multiwp_tilde_fourier
-    from multiwp.multip import _tilde_kernel
+    # restricted wp at reflected arguments via Hurwitz zetas + multitangent blocks
     z = 0.23 + 0.6j
     for ix in [(2,), (3,), (2, 2), (2, 3), (3, 2), (3, 3)]:
         vf = multiwp_tilde_fourier(ix, z, TAU)
         vk = _tilde_kernel(Index(ix), [-z] * len(ix), TAU, EvalConfig(M=16, N=24000))[0]
         assert abs(vf - vk) < 1e-7, ix
     with pytest.raises(ValueError):
-        multiwp_tilde_fourier((2, 2, 2), z, TAU)
-    with pytest.raises(ValueError):
         multiwp_tilde_fourier((2,), 0.2 - 0.4j, TAU)
+
+
+def test_tilde_fourier_depth_3_and_4():
+    z = 0.23 + 0.6j
+    assert multiwp_tilde_fourier((), z, TAU) == 1
+    for ix in [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 2, 2), (3, 2, 2, 3)]:
+        vf = multiwp_tilde_fourier(ix, z, TAU)
+        vk = _tilde_kernel(Index(ix), [-z] * len(ix), TAU, EvalConfig(M=16, N=24000))[0]
+        assert abs(vf - vk) < 1e-7, ix
