@@ -3,7 +3,7 @@
 One vectorized numpy kernel sweeps the lattice backward once and returns the
 ordered sums of all r suffixes of its (shifts, exponents) chain, so callers
 that need every prefix and suffix factor of a chain need one sweep per
-orientation.
+orientation; independent sweeps run concurrently through ``ordered_sums``.
 
 Summation region and order
 --------------------------
@@ -47,10 +47,22 @@ differently when it has one element).  So every product and every addition
 is the one a single cumsum over the whole region would make, in the same
 order: the result does not depend on the block size, and ``out[s]`` is
 ``==`` the call on that suffix alone.  No memory of the region's size is
-allocated, and nothing outlives the call.
+allocated, and no array outlives the call.
+
+Concurrent sweeps
+-----------------
+numpy releases the GIL inside its loops, so independent sweeps overlap on
+threads.  ``ordered_sums`` runs several ``ordered_sum`` calls on one
+module-wide thread pool with one worker per usable CPU.  The pool is made on
+first use (``concurrent.futures`` is imported then, not at import time) and
+lives for the rest of the process; a forked child drops the parent's pool,
+whose threads it does not inherit, and makes its own when it needs one.
+Each call's result is the same as a call made alone.
 """
 from __future__ import annotations
 
+import os
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -192,6 +204,53 @@ def ordered_sum(w, shifts, exps, split_last=False, boundary_prev=None) -> list[c
     if split_last and boundary_prev is not None:
         out[r - 1] += -1.0 / (zr - complex(boundary_prev) - 1.0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# concurrent sweeps
+# ---------------------------------------------------------------------------
+
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool():
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOL = ThreadPoolExecutor(max_workers=_usable_cpus(),
+                                       thread_name_prefix="multiwp-sweep")
+        return _POOL
+
+
+def _drop_pool_in_child() -> None:
+    # the child has none of the parent's worker threads, and the lock may
+    # have been held by one of them at the fork
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_pool_in_child)
+
+
+def ordered_sums(calls) -> list[list[complex]]:
+    """``[ordered_sum(*call) for call in calls]``, with the calls run at once
+    on the module's thread pool.  Each call is a tuple of positional
+    arguments of ``ordered_sum``; submit the largest first, so that the
+    workers finish together."""
+    pool = _POOL or _pool()
+    futures = [pool.submit(ordered_sum, *call) for call in calls]
+    for f in futures:
+        f.exception()  # wait for every call before raising the first error
+    return [f.result() for f in futures]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from math import factorial, log
 import numpy as np
 
 from .core import DEFAULT_CONFIG, EvalConfig, Index, couplings
-from .kernels import lattice_sorted, ordered_sum
+from .kernels import lattice_sorted, ordered_sum, ordered_sums
 from .mzv import mzv
 from .weier import TWO_PI_I, _check_tau, _em_tail, lipschitz_psi
 
@@ -127,13 +127,11 @@ def multitangent_reduce(index) -> MultitangentReduction:
 # direct (slow) evaluation
 # ---------------------------------------------------------------------------
 
-def _meis_once(index: Index, tau: complex, cfg: EvalConfig) -> complex:
+def _meis_sweep(index: Index, tau: complex, cfg: EvalConfig) -> tuple:
+    """The ``ordered_sum`` arguments of the truncated sum over 0 < w_1 < ... < w_r
+    (trailing-2 telescoping split)."""
     w, pos0 = lattice_sorted(tau, cfg.M, cfg.N)
-    region = w[pos0 + 1:]
-    split = index[-1] == 2
-    val = ordered_sum(region, [0.0] * index.depth, list(index),
-                      split_last=split, boundary_prev=0.0)[0]
-    return (-1) ** (index.weight % 2) * val
+    return w[pos0 + 1:], [0.0] * index.depth, list(index), index[-1] == 2, 0.0
 
 
 def meis_direct(index, tau: complex, cfg: EvalConfig | None = None) -> complex:
@@ -142,18 +140,22 @@ def meis_direct(index, tau: complex, cfg: EvalConfig | None = None) -> complex:
     index = Index(index)
     _require_admissible(index)
     tau = _check_tau(tau)
-    return _meis_once(index, tau, cfg if cfg is not None else DEFAULT_CONFIG)
+    cfg = cfg if cfg is not None else DEFAULT_CONFIG
+    return (-1) ** (index.weight % 2) * ordered_sum(*_meis_sweep(index, tau, cfg))[0]
 
 
 def meis_direct_error(index, tau: complex,
                       cfg: EvalConfig | None = None) -> tuple[complex, float]:
-    """(refined value, Cauchy-difference error estimate)."""
+    """(refined value, Cauchy-difference error estimate); the two sweeps run
+    at once."""
     index = Index(index)
     _require_admissible(index)
     tau = _check_tau(tau)
     cfg = cfg if cfg is not None else DEFAULT_CONFIG
-    v1 = _meis_once(index, tau, cfg)
-    v2 = _meis_once(index, tau, cfg.refined())
+    fine, coarse = ordered_sums([_meis_sweep(index, tau, cfg.refined()),
+                                 _meis_sweep(index, tau, cfg)])
+    sign = (-1) ** (index.weight % 2)
+    v1, v2 = sign * coarse[0], sign * fine[0]
     return v2, abs(v2 - v1)
 
 

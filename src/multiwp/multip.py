@@ -17,7 +17,7 @@ from math import comb, factorial
 
 from .core import (ConvergenceError, EvalConfig, Index, compositions_fixed, couplings,
                    stuffle_expand)
-from .kernels import lattice_sorted, ordered_sum
+from .kernels import lattice_sorted, ordered_sum, ordered_sums
 from .meisen import (_amplitude_matrix, _require_admissible, _strip_p_matrix, _suffix_dp,
                      g_function, meis_qexp, monotangent, multitangent_reduce)
 from .mzv import hurwitz_mzv
@@ -36,13 +36,17 @@ __all__ = [
 # restricted multivariable wp
 # ---------------------------------------------------------------------------
 
+def _tilde_sweep(index: Index, xs, tau: complex, cfg: EvalConfig) -> tuple:
+    """The ``ordered_sum`` arguments of the sweep over the lattice points
+    w > 0 that gives the truncated restricted sums of index[s:] at xs[s:]."""
+    w, pos0 = lattice_sorted(tau, cfg.M, cfg.N)
+    return w[pos0 + 1:], [complex(x) for x in xs], list(index), index[-1] == 2, 0.0
+
+
 def _tilde_kernel(index: Index, xs, tau: complex, cfg: EvalConfig) -> list[complex]:
     """The truncated restricted sums of index[s:] at xs[s:], for every s, from
     one kernel sweep over the lattice points w > 0."""
-    w, pos0 = lattice_sorted(tau, cfg.M, cfg.N)
-    region = w[pos0 + 1:]
-    return ordered_sum(region, [complex(x) for x in xs], list(index),
-                       split_last=index[-1] == 2, boundary_prev=0.0)
+    return ordered_sum(*_tilde_sweep(index, xs, tau, cfg))
 
 
 def _tilde_taylor(index: Index, xs, tau: complex, q_order: int, digits: int,
@@ -103,23 +107,21 @@ def multiwp_tilde(index, xs, tau: complex, cfg: EvalConfig | None = None,
 # full-lattice multiple wp
 # ---------------------------------------------------------------------------
 
-def _multivar_split(index: Index, zs, tau: complex, cfg: EvalConfig) -> complex:
+def _multivar_split(index: Index, zs, fwd: list[complex], rev: list[complex]) -> complex:
     """Exact split of the ordered full-lattice sum at 0 (prefix below 0 /
     member at 0 / suffix above 0); each factor is a restricted sum.
 
-    All factors come from two kernel sweeps: the suffix factors
-    tilde(index[i:], zs[i:]) from one over (index, zs), and the reversed
-    prefix factors tilde(index[:i][::-1], -zs[:i][::-1]) from one over the
-    reversed chain, in which that prefix is the suffix starting at r - i.
+    All factors come from two kernel sweeps at one truncation: the suffix
+    factors tilde(index[i:], zs[i:]) are ``fwd``, the sweep over (index, zs),
+    and the reversed prefix factors tilde(index[:i][::-1], -zs[:i][::-1])
+    are ``rev``, the sweep over the reversed chain, in which that prefix is
+    the suffix starting at r - i.
     """
     r = index.depth
-    if r == 0:
-        return 1.0 + 0.0j
     K = [0]
     for k in index:
         K.append(K[-1] + k)
-    suf = _tilde_kernel(index, zs, tau, cfg) + [1.0 + 0.0j]
-    rev = _tilde_kernel(index.reversed(), [-z for z in reversed(zs)], tau, cfg)
+    suf = fwd + [1.0 + 0.0j]
     pre = [1.0 + 0.0j] + rev[::-1]
 
     total = 0.0 + 0.0j
@@ -137,10 +139,14 @@ def _split_extrapolated(index: Index, zs, tau: complex, cfg: EvalConfig) -> comp
     The fixed-M truncation error is an asymptotic series a/N + b/N^2 + ...
     (slot tails against the nonvanishing rows-above suffix constants give the
     1/N term); three evaluations at N, 2N, 4N remove both leading orders.
+    Their six sweeps run at once, the largest first.
     """
-    v1 = _multivar_split(index, zs, tau, cfg)
-    v2 = _multivar_split(index, zs, tau, cfg.with_(N=2 * cfg.N))
-    v4 = _multivar_split(index, zs, tau, cfg.with_(N=4 * cfg.N))
+    if index.depth == 0:
+        return 1.0 + 0.0j
+    chains = ((index, zs), (index.reversed(), [-z for z in reversed(zs)]))
+    levels = [cfg.with_(N=4 * cfg.N), cfg.with_(N=2 * cfg.N), cfg]
+    sums = ordered_sums([_tilde_sweep(ix, xs, tau, c) for c in levels for ix, xs in chains])
+    v4, v2, v1 = (_multivar_split(index, zs, sums[j], sums[j + 1]) for j in (0, 2, 4))
     return (8.0 * v4 - 6.0 * v2 + v1) / 3.0
 
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lgamma, log, pi
+from math import comb, exp, factorial, lgamma, log, pi
 
 import numpy as np
 
-from .core import (DEFAULT_CONFIG, EvalConfig, beta, beta_prime,
+from .core import (DEFAULT_CONFIG, ConvergenceError, EvalConfig, beta, beta_prime,
                    partition_trace, phi_log)
 from .qmod import QuasiModular, WpPolynomial
 
@@ -155,12 +155,17 @@ def _eisenstein_G_lattice(k: int, tau: complex, cfg: EvalConfig) -> complex:
 
 def lipschitz_psi(k: int, x: complex, eps: float = 1e-17) -> complex:
     """Psi_k(x) = sum_{n in Z} (x+n)^-k = (-2 pi i)^k/(k-1)! sum_{d>0} d^{k-1} xi^d
-    for Im(x) > 0 (sign convention fixed against the direct sum)."""
+    for Im(x) > 0 (sign convention fixed against the direct sum); raises
+    ConvergenceError when the series needs more than 40000 terms."""
     xi = np.exp(TWO_PI_I * complex(x))
     if abs(xi) >= 1:
         raise ValueError("lipschitz_psi needs Im(x) > 0")
     D = max(8, int(np.ceil(log(1e-18) / log(abs(xi)))) + k * 8)
-    D = min(D, 40000)
+    if D > 40000:
+        last = exp(min(700.0, (k - 1) * log(40000) + 40000 * log(abs(xi))))
+        raise ConvergenceError(
+            f"lipschitz_psi({k}, {complex(x)}) needs {D} terms, more than 40000: "
+            f"term 40000 has size {last:.2e}")
     d = np.arange(1, D + 1, dtype=float)
     series = complex(np.sum(d ** (k - 1) * xi**d))
     return (-TWO_PI_I) ** k / factorial(k - 1) * series
@@ -190,19 +195,21 @@ def wp_k(k: int, z: complex, tau: complex, cfg: EvalConfig | None = None,
 
 
 def _wp_k_series(k: int, z0: complex, tau: complex, eps: float = 1e-17) -> complex:
-    out = z0 ** float(-k)
+    """Taylor series of wp_k - 1/z^k at 0, to m <= 400; raises
+    ConvergenceError when that cap comes before three small terms."""
     acc = 0.0 + 0.0j
-    m = k % 2  # first m with m+k even (the m=0 term is (-1)^k G_k)
     last_small = 0
-    while m <= 400:
+    # from the first m with m+k even (the m=0 term is (-1)^k G_k)
+    for m in range(k % 2, 401, 2):
         g = eisenstein_G(m + k, tau)
         t = comb(m + k - 1, k - 1) * g * z0**m
         acc += t
         last_small = last_small + 1 if abs(t) < eps * (1 + abs(acc)) else 0
         if last_small >= 3:
-            break
-        m += 2
-    return out + (-1) ** k * acc
+            return z0 ** float(-k) + (-1) ** k * acc
+    raise ConvergenceError(
+        f"_wp_k_series: wp_{k} series at z0 = {z0} not converged by m = 400: "
+        f"last term {abs(t):.2e}")
 
 
 def _wp_k_rows(k: int, z0: complex, tau: complex, cfg: EvalConfig) -> complex:
@@ -263,16 +270,16 @@ def _sigma_core(z0: complex, tau: complex, rmin: float) -> complex:
         u = z0 / 2.0
         return -wp_prime(u, tau) * _sigma_core(u, tau, rmin) ** 4
     acc = 0.0 + 0.0j
-    k = 2
     small = 0
-    while k <= 400:
+    for k in range(2, 401, 2):
         t = eisenstein_G(k, tau) * z0**k / k
         acc += t
         small = small + 1 if abs(t) < 1e-18 * (1 + abs(acc)) else 0
         if small >= 3:
-            break
-        k += 2
-    return z0 * np.exp(-acc)
+            return z0 * np.exp(-acc)
+    raise ConvergenceError(
+        f"_sigma_core: sigma series at z0 = {z0} not converged by k = 400: "
+        f"last term {abs(t):.2e}")
 
 
 def _sigma_product(z: complex, tau: complex, cfg: EvalConfig) -> complex:
@@ -305,16 +312,16 @@ def _zeta_core(z0: complex, tau: complex, rmin: float) -> complex:
         wp2d = 6.0 * wp(u, tau) ** 2 - 30.0 * eisenstein_G(4, tau)
         return 2.0 * _zeta_core(u, tau, rmin) + wp2d / (2.0 * wpp)
     acc = 0.0 + 0.0j
-    k = 2
     small = 0
-    while k <= 400:
+    for k in range(2, 401, 2):
         t = eisenstein_G(k, tau) * z0 ** (k - 1)
         acc += t
         small = small + 1 if abs(t) < 1e-18 * (1 + abs(acc)) else 0
         if small >= 3:
-            break
-        k += 2
-    return 1.0 / z0 - acc
+            return 1.0 / z0 - acc
+    raise ConvergenceError(
+        f"_zeta_core: zeta series at z0 = {z0} not converged by k = 400: "
+        f"last term {abs(t):.2e}")
 
 
 def quasi_periods(tau: complex, cfg: EvalConfig | None = None) -> tuple[complex, complex]:

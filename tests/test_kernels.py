@@ -1,5 +1,8 @@
 import math
+import multiprocessing
+import os
 import random
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -9,9 +12,9 @@ import pytest
 
 from multiwp import kernels, meisen, multip
 from multiwp.core import EvalConfig, Index, compositions_ge2
-from multiwp.kernels import kahan_cumsum, lattice_sorted, ordered_sum
+from multiwp.kernels import kahan_cumsum, lattice_sorted, ordered_sum, ordered_sums
 from multiwp.meisen import meis_direct
-from multiwp.multip import _multivar_split, multiwp_direct
+from multiwp.multip import _multivar_split, _tilde_kernel, multiwp_direct
 
 
 def test_lattice_sorted_order():
@@ -389,6 +392,7 @@ def test_lattice_evaluators_match_the_power_sweep(z, tau, monkeypatch):
                 + [meis_direct(ix, tau, cfg) for ix in indices])
 
     got = values()
+    monkeypatch.setattr(kernels, "ordered_sum", _power_sweep)
     monkeypatch.setattr(multip, "ordered_sum", _power_sweep)
     monkeypatch.setattr(meisen, "ordered_sum", _power_sweep)
     ref = values()
@@ -429,7 +433,59 @@ def test_two_sweep_split_equals_one_call_per_factor(ix):
     cfg = EvalConfig(M=4, N=60)
     zs = [0.21 + 0.13j, -0.17 + 0.29j, 0.33 - 0.11j, 0.05 + 0.4j][:len(ix)]
     index = Index(ix)
-    assert _multivar_split(index, zs, tau, cfg) == _split_one_factor_per_call(index, zs, tau, cfg)
+    fwd = _tilde_kernel(index, zs, tau, cfg)
+    rev = _tilde_kernel(index.reversed(), [-z for z in reversed(zs)], tau, cfg)
+    assert _multivar_split(index, zs, fwd, rev) == _split_one_factor_per_call(index, zs, tau, cfg)
+
+
+# ---------------------------------------------------------------------------
+# concurrent sweeps
+# ---------------------------------------------------------------------------
+
+def _sweep_jobs():
+    tau = 0.3 + 1.1j
+    w, pos0 = lattice_sorted(tau, 6, 3000)
+    return [(w[pos0 + 1:], [0.23 + 0.17j] * 3, [3, 2, 2], True, 0.0),
+            (w[:pos0][::-1], [-0.23 - 0.17j] * 4, [2, 4, 3, 2], True, 0.0),
+            (w[pos0 + 1:pos0 + 20_000], SHIFTS[:2], [5, 2], True, 0.0),
+            (w[pos0 + 1:pos0 + 50], SHIFTS[:3], [2, 3, 4])]
+
+
+def test_ordered_sums_equal_the_calls_made_one_by_one():
+    jobs = _sweep_jobs()
+    assert ordered_sums(jobs) == [ordered_sum(*job) for job in jobs]
+    assert ordered_sums([]) == []
+
+
+def test_ordered_sums_raise_the_error_of_a_call():
+    jobs = _sweep_jobs()
+    with pytest.raises(ValueError):
+        ordered_sums([jobs[0], (jobs[0][0][:0], [1j], [2])])
+
+
+def test_pool_has_one_worker_per_usable_cpu():
+    ordered_sums(_sweep_jobs()[3:])
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count())
+    assert kernels._POOL._max_workers == usable
+
+
+def test_import_leaves_the_pool_and_its_module_unloaded():
+    code = ("import sys, multiwp, multiwp.kernels as k; "
+            "assert k._POOL is None; assert 'concurrent.futures' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_forked_child_after_the_pool_was_used():
+    tau, z, cfg = 0.3 + 1.1j, 0.23 + 0.17j, EvalConfig(M=4, N=300)
+    want = multiwp_direct((3, 2, 2), z, tau, cfg)
+    assert kernels._POOL is not None
+    with multiprocessing.get_context("fork").Pool(1) as child:
+        got = child.apply_async(multiwp_direct, ((3, 2, 2), z, tau, cfg)).get(timeout=60)
+    assert got == want
 
 
 def test_kahan_cumsum_matches_fsum():

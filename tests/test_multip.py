@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -6,8 +9,8 @@ from multiwp.core import ConvergenceError, EvalConfig, Index
 from multiwp.qmod import QuasiModular, WpPolynomial
 from multiwp import weier
 from multiwp.meisen import meis_direct, meis_qexp
-from multiwp.multip import (_tilde_kernel, _tilde_taylor, antipode_residual, fourier_c,
-                            modular_transform_check, multiwp22_fourier, multiwp_direct,
+from multiwp.multip import (_multivar_split, _tilde_kernel, _tilde_taylor, antipode_residual,
+                            fourier_c, modular_transform_check, multiwp22_fourier, multiwp_direct,
                             multiwp_multivar, multiwp_raw, multiwp_reduce, multiwp_tilde,
                             multiwp_tilde_fourier)
 from multiwp.verify import _wp_poly_matches_reduction
@@ -96,6 +99,68 @@ def test_multivar():
     # diagonal specialization
     assert abs(multiwp_multivar((2, 2), [Z, Z], TAU, CFG)
                - multiwp_direct((2, 2), Z, TAU, CFG)) < 1e-12
+
+
+TAU_S = 0.3 + 1.1j
+SERIAL_CFG = EvalConfig(M=4, N=300)
+SERIAL_INDICES = [(), (2,), (5,), (3, 2), (2, 4), (2, 2, 2), (4, 3, 2), (2, 3, 2, 2),
+                  (3, 2, 4, 2)]
+
+
+def _serial_split_extrapolated(index, zs, tau, cfg):
+    """The six sweeps of the split evaluator one after another, then the
+    split combination of each level and the Richardson step."""
+    index = Index(index)
+    if index.depth == 0:
+        return 1.0 + 0.0j
+    v = []
+    for c in (cfg, cfg.with_(N=2 * cfg.N), cfg.with_(N=4 * cfg.N)):
+        fwd = _tilde_kernel(index, zs, tau, c)
+        rev = _tilde_kernel(index.reversed(), [-z for z in reversed(zs)], tau, c)
+        v.append(_multivar_split(index, zs, fwd, rev))
+    v1, v2, v4 = v
+    return (8.0 * v4 - 6.0 * v2 + v1) / 3.0
+
+
+@pytest.mark.parametrize("ix", SERIAL_INDICES)
+def test_concurrent_sweeps_equal_the_serial_evaluator(ix):
+    z = 0.23 + 0.17j
+    zs = [z + 0.07j * s for s in range(len(ix))]
+    assert multiwp_direct(ix, z, TAU_S, SERIAL_CFG) == _serial_split_extrapolated(
+        ix, [z] * len(ix), TAU_S, SERIAL_CFG)
+    assert multiwp_multivar(ix, zs, TAU_S, SERIAL_CFG) == _serial_split_extrapolated(
+        ix, zs, TAU_S, SERIAL_CFG)
+
+
+def test_concurrent_callers_share_the_pool():
+    zs = [0.23 + 0.17j, -0.31 + 0.4j, 0.12 - 0.27j]
+    jobs = [(ix, z) for ix in SERIAL_INDICES[1:] for z in zs]
+    serial = {job: _serial_split_extrapolated(job[0], [job[1]] * len(job[0]), TAU_S,
+                                              SERIAL_CFG) for job in jobs}
+    got, errors = {}, []
+
+    def work(i):
+        try:
+            for job in jobs[i:] + jobs[:i]:
+                got.setdefault(job, []).append(multiwp_direct(*job, TAU_S, SERIAL_CFG))
+        except Exception as exc:  # reported below, after the join
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert set(got) == set(jobs)
+    for job, vals in got.items():
+        assert vals == [serial[job]] * len(vals), job
 
 
 # ---------------------------------------------------------------------------

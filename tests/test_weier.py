@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from multiwp.core import EvalConfig
+from multiwp.core import ConvergenceError, EvalConfig
 from multiwp.qmod import QuasiModular, WpPolynomial, g_normalized
 from multiwp import weier
 from multiwp.weier import (eisenstein_G, eval_wp_polynomial, f_coeff, g_coeff,
@@ -241,3 +241,20 @@ def test_sigma_modular_transformation():
         lhs = sigma(z / cz, (a * TAU + b) / cz)
         rhs = np.exp(1j * np.pi * c * z * z / cz) / cz * sigma(z, TAU)
         assert abs(lhs - rhs) < 1e-11, (a, b, c, d)
+
+
+def test_series_caps_raise():
+    tau = 0.3 + 1.1j
+    rmin = weier.min_lattice_norm(tau)
+    with pytest.raises(ConvergenceError, match="_wp_k_series"):
+        weier._wp_k_series(3, 0.99 * rmin, tau)
+    with pytest.raises(ConvergenceError, match="_sigma_core"):
+        weier._sigma_core(0.99 * rmin, tau, 10.0 * rmin)
+    with pytest.raises(ConvergenceError, match="_zeta_core"):
+        weier._zeta_core(0.99 * rmin, tau, 10.0 * rmin)
+    with pytest.raises(ConvergenceError, match="lipschitz_psi"):
+        weier.lipschitz_psi(2, 0.3 + 1e-6j)
+    # just above the cap's edge the series still converges
+    z = 0.3 + 2e-4j
+    direct = np.sum((z + np.arange(-200000, 200001)) ** -2.0)
+    assert abs(weier.lipschitz_psi(2, z) - direct) < 1e-4 * abs(direct)
