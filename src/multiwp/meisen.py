@@ -163,11 +163,24 @@ def meis_direct_error(index, tau: complex,
 # q-expansion pipeline
 # ---------------------------------------------------------------------------
 
-def _p_matrix(x: np.ndarray, dmax: int, nmax: int) -> np.ndarray:
-    """Row n - 2 holds P_n(x_m) = sum_{d=1}^{dmax} d^{n-1} x_m^d, n = 2..nmax."""
+@lru_cache(maxsize=64)
+def _d_powers(dmax: int, nmax: int) -> np.ndarray:
+    """D[n - 2, d - 1] = d^{n-1} for n = 2..nmax, d = 1..dmax.  tau-free,
+    read-only; the 64 most recently used shapes are cached."""
     d = np.arange(1.0, dmax + 1)
-    xpow = x[None, :] ** d[:, None]  # (dmax, mmax)
-    return np.array([(d ** (n - 1)) @ xpow for n in range(2, nmax + 1)])
+    D = np.array([d ** (n - 1) for n in range(2, nmax + 1)])
+    D.flags.writeable = False
+    return D
+
+
+def _p_matrix(x: np.ndarray, dmax: int, nmax: int) -> np.ndarray:
+    """Row n - 2 holds P_n(x_m) = sum_{d=1}^{dmax} d^{n-1} x_m^d, n = 2..nmax,
+    as one product D @ (x^d) of the cached d-power table `_d_powers` with
+    the complex power table, which is multiplied as its real and imaginary
+    columns (a real product on a float view, no complex copy of D)."""
+    d = np.arange(1.0, dmax + 1)
+    xpow = np.asarray(x, dtype=complex)[None, :] ** d[:, None]  # (dmax, mmax)
+    return (_d_powers(dmax, nmax) @ xpow.view(float)).view(complex)
 
 
 def _suffix_dp(Q: np.ndarray, prefix) -> complex:
@@ -259,7 +272,9 @@ def _strip_p_matrix(z: complex, tau: complex, depth: int, nmax: int,
                     q_order: int) -> np.ndarray:
     """`_p_matrix` at x = xi q^m, xi = e^{2 pi i z}, for a strip series of
     the given depth: m runs to mmax = depth + 1 past the point where
-    max(|xi q|, |q|)^m falls below 1e-18, and d to 4 mmax."""
+    max(|xi q|, |q|)^m falls below 1e-18, and d to 4 mmax.  The d-power
+    table is the cached tau-free one of `_p_matrix`, so only the power
+    table x^d is built per call."""
     q = complex(np.exp(TWO_PI_I * tau))
     xi = complex(np.exp(TWO_PI_I * z))
     if abs(xi * q) >= 1:

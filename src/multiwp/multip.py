@@ -20,7 +20,7 @@ from .core import (ConvergenceError, EvalConfig, Index, compositions_fixed, coup
 from .kernels import lattice_sorted, ordered_sum, ordered_sums
 from .meisen import (_amplitude_matrix, _require_admissible, _strip_p_matrix, _suffix_dp,
                      g_function, meis_qexp, monotangent, multitangent_reduce)
-from .mzv import hurwitz_mzv
+from .mzv import _hurwitz_prefixes
 from .weier import TWO_PI_I, _as_cfg, _check_tau, lattice_reduce, wp_k
 
 __all__ = [
@@ -368,7 +368,7 @@ def multiwp_tilde_fourier(index, z: complex, tau: complex, q_order: int = 64,
         return 1.0 + 0.0j
     ix = tuple(index)
     P = _strip_p_matrix(z, tau, index.depth, index.weight, q_order)
-    prefix = [hurwitz_mzv(ix[:j], z, digits).value for j in range(index.depth + 1)]
+    prefix = [v.value for v in _hurwitz_prefixes(ix, z, digits)]
     return (-1) ** (index.weight % 2) * _suffix_dp(_amplitude_matrix(ix, digits) @ P, prefix)
 
 

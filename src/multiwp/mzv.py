@@ -119,10 +119,15 @@ def _level_sums(index, base: np.ndarray):
         Z = np.concatenate(([0.0], cums[:-1]))  # Z_s(n) = sum_{m<n}
 
 
-def _nested_zeta(index: tuple, digits: int, shift) -> MzvValue:
+def _nested_zeta(index: tuple, digits: int, shift) -> tuple[MzvValue, ...]:
     """sum over 0 < n_1 < ... < n_r of prod (shift + n_i)^-k_i: the partial
     sums to T plus the Euler-Maclaurin tails, corrected level by level.  A
-    float shift sums in float64, a complex one in complex128."""
+    float shift sums in float64, a complex one in complex128.
+
+    Level s is the sum of the prefix k_1..k_s, so one call returns the r
+    values of the prefixes s = 1..r, the last being the full sum.  The tail
+    truncation and error terms are those of the full index at every level,
+    so a shorter prefix agrees with its own call within its error bound."""
     T = _tail_T(digits)
     beta_cap = sum(index) + 8
     dtype = complex if isinstance(shift, complex) else float
@@ -132,6 +137,7 @@ def _nested_zeta(index: tuple, digits: int, shift) -> MzvValue:
     x0 = shift + (T + 1)
     ax0 = abs(x0)
     levels = _level_sums(index, shift + np.arange(0, T + 1, dtype=dtype))
+    out = []
     for s, (k, cums) in enumerate(zip(index, levels)):
         partial = cums[-1].item()
         head = _plist_eval(_em_power_list(k), x0)
@@ -155,12 +161,13 @@ def _nested_zeta(index: tuple, digits: int, shift) -> MzvValue:
         err = tail_err + 8e-16 * (abs(partial) + len(index) * abs(c_s))
         c_prev = c_s
         tail_prev = tail_list
-    return MzvValue(c_prev, err, Index(index))
+        out.append(MzvValue(c_s, err, Index(index[:s + 1])))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _mzv_cached(index: tuple, digits: int) -> MzvValue:
-    return _nested_zeta(index, digits, 0.0)
+    return _nested_zeta(index, digits, 0.0)[-1]
 
 
 def mzv_value(index, digits: int = 12) -> float:
@@ -180,9 +187,16 @@ def zeta_even_exact(k: int) -> Fraction:
 
 def hurwitz_mzv(index, z: complex, digits: int = 12) -> MzvValue:
     """zeta^{(z)}(k_1,...,k_r) = sum_{0<n_1<...<n_r} prod (z + n_i)^{-k_i}."""
+    return _hurwitz_prefixes(index, z, digits)[-1]
+
+
+def _hurwitz_prefixes(index, z: complex, digits: int = 12) -> tuple[MzvValue, ...]:
+    """The Hurwitz MZVs of the prefixes k_1..k_j, j = 0..r (1 for the empty
+    one), from one nested sum over the whole index."""
     index = Index(index)
+    empty = (MzvValue(1.0, 0.0, Index(())),)
     if index.depth == 0:
-        return MzvValue(1.0, 0.0, index)
+        return empty
     if index[-1] < 2:
         raise ValueError("non-admissible index: last part must be >= 2")
     if 1 in index[:-1]:
@@ -193,4 +207,4 @@ def hurwitz_mzv(index, z: complex, digits: int = 12) -> MzvValue:
         raise ZeroDivisionError("pole: z + n vanishes for a positive integer n")
     if abs(z) > _tail_T(digits) / 4:
         raise ValueError("shift too large for the tail expansion")
-    return _nested_zeta(tuple(index), digits, z)
+    return empty + _nested_zeta(tuple(index), digits, z)

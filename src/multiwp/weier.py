@@ -64,17 +64,28 @@ def lattice_reduce(z: complex, tau: complex) -> tuple[complex, int, int]:
 # Eisenstein series
 # ---------------------------------------------------------------------------
 
+def _g_log_term(k: int, n: int, aq: float) -> float:
+    """log of amp_k n^{k-1} |q|^n, amp_k = (2 pi)^k / (k-1)!: the size the
+    stopping test of `_g_even_qexp` takes for the n-th term of the G_k
+    q-series."""
+    return k * log(2 * pi) - lgamma(k) + (k - 1) * log(n) + n * log(aq)
+
+
 def _g_even_qexp(k: int, tau: complex) -> complex:
-    """Even G_k by the sigma_{k-1} q-series (k <= 40)."""
+    """Even G_k by the sigma_{k-1} q-series (k <= 40); raises
+    ConvergenceError when 4096 terms do not bring this k's term below 1e-19."""
     q = np.exp(TWO_PI_I * tau)
     aq = abs(q)
-    # smallest n with amp * n^{k-1} |q|^n < 1e-18 for all even k <= 40
+    # n doubles until the term is below 1e-19 for every even k <= 40, which
+    # bounds this k's term too, or until the cap
     nmax = 16
-    while nmax < 4096:
-        worst = 40 * log(2 * pi) - lgamma(40) + 39 * log(nmax) + nmax * log(aq)
-        if worst < log(1e-19):
-            break
+    while nmax < 4096 and _g_log_term(40, nmax, aq) >= log(1e-19):
         nmax *= 2
+    if _g_log_term(k, nmax, aq) >= log(1e-19):
+        raise ConvergenceError(
+            f"_g_even_qexp: G_{k} q-series at tau = {complex(tau)} not converged by "
+            f"n = {nmax}: term bound {exp(min(700.0, _g_log_term(k, nmax, aq))):.2e} "
+            f"exceeds 1e-19")
     n = np.arange(1, nmax + 1)
     sig = np.zeros(nmax + 1)
     for d in range(1, nmax + 1):

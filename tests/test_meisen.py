@@ -193,6 +193,13 @@ def _loop_m_dp(pvals):
     return A[mmax]
 
 
+def _p_matrix_by_rows(x, dmax, nmax):
+    """P_n(x_m) = sum_{d=1}^{dmax} d^{n-1} x_m^d, one product per n = 2..nmax."""
+    d = np.arange(1.0, dmax + 1)
+    xpow = x[None, :] ** d[:, None]
+    return np.array([(d ** (n - 1)) @ xpow for n in range(2, nmax + 1)])
+
+
 def _meis_qexp_by_splittings(ix, tau, q_order=64, digits=12):
     """Gt by the word splittings: for each splitting and each product of the
     block reductions, one ordered m-sum of monotangent q-series, with the
@@ -201,7 +208,7 @@ def _meis_qexp_by_splittings(ix, tau, q_order=64, digits=12):
     q = complex(np.exp(2j * math.pi * tau))
     need = int(np.ceil(math.log(1e-18) / math.log(abs(q)))) + ix.depth + 1
     mmax, dmax = min(q_order, need), min(q_order, max(need, 8))
-    P = _p_matrix(q ** np.arange(1, mmax + 1), dmax, ix.weight)
+    P = _p_matrix_by_rows(q ** np.arange(1, mmax + 1), dmax, ix.weight)
     total = 0.0 + 0.0j
     for sp in word_splittings(ix):
         pre = mzv(sp.mzv_prefix, digits).value if sp.mzv_prefix.depth else 1.0
@@ -220,6 +227,56 @@ def test_meis_qexp_matches_word_splitting_sum():
             for ix in compositions_ge2(w):
                 ref = _meis_qexp_by_splittings(ix, tau)
                 assert abs(meis_qexp(ix, tau) - ref) <= 1e-12 * (1 + abs(ref)), (ix, tau)
+
+
+def _p_matrix_cases():
+    """(x, dmax, nmax) at the shapes of the callers: meis_qexp (x = q^m,
+    dmax <= 64) and the strip routes (x = xi q^m, dmax = 4 need <= 256)."""
+    for tau in (2j, 0.3 + 1.3j, 0.8j, -0.45 + 0.95j, 0.5 + 0.4j, 0.13j, -0.2 + 0.12j):
+        q = complex(np.exp(2j * math.pi * tau))
+        for r, w in ((1, 2), (1, 16), (3, 9), (6, 16), (8, 16)):
+            need = int(np.ceil(math.log(1e-18) / math.log(abs(q)))) + r + 1
+            if need <= 64:
+                yield q ** np.arange(1, need + 1), max(need, 8), w
+            for z in (0.2 + 0.5 * tau.imag * 1j, 0.37 - 0.6 * tau.imag * 1j,
+                      -0.1 + 0.9 * tau.imag * 1j):
+                xi = complex(np.exp(2j * math.pi * z))
+                need = int(np.ceil(math.log(1e-18) / math.log(max(abs(xi * q), abs(q))))) + r + 1
+                if need <= 64:
+                    yield xi * q ** np.arange(1, need + 1), 4 * need, w
+
+
+def test_p_matrix_matches_per_row_products():
+    # the one-product table against one product per n.  The bound is relative
+    # to each entry's sum of absolute terms: where the phases of x_m^d cancel,
+    # any change of summation order moves the entry by that much (the tiny
+    # absolute term covers subnormal powers)
+    shapes = set()
+    for x, dmax, nmax in _p_matrix_cases():
+        got, ref = _p_matrix(x, dmax, nmax), _p_matrix_by_rows(x, dmax, nmax)
+        scale = _p_matrix_by_rows(np.abs(x).astype(complex), dmax, nmax).real
+        assert got.shape == ref.shape == (nmax - 1, len(x))
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale + 1e-300), (dmax, nmax)
+        shapes.add(dmax)
+    assert min(shapes) == 8 and max(shapes) == 256
+
+
+def test_d_power_table_is_bounded_and_read_only():
+    meisen._d_powers.cache_clear()
+    maxsize = meisen._d_powers.cache_info().maxsize
+    assert maxsize is not None
+    for dmax in range(8, 8 + maxsize + 20):
+        D = meisen._d_powers(dmax, 5)
+        assert D.shape == (4, dmax) and not D.flags.writeable
+        with pytest.raises(ValueError):
+            D[0, 0] = 2.0
+    assert meisen._d_powers.cache_info().currsize == maxsize
+    # the table behind _p_matrix is the cached one
+    x = np.array([0.1 + 0.2j, 0.01j])
+    _p_matrix(x, 9, 4)
+    hits = meisen._d_powers.cache_info().hits
+    _p_matrix(2 * x, 9, 4)
+    assert meisen._d_powers.cache_info().hits == hits + 1
 
 
 def test_suffix_dp_matches_nested_loops():

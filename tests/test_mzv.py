@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from multiwp.core import stuffle
-from multiwp.mzv import hurwitz_mzv, mzv, mzv_value, zeta_even_exact
+from multiwp.mzv import _hurwitz_prefixes, hurwitz_mzv, mzv, mzv_value, zeta_even_exact
 
 PI = math.pi
 
@@ -116,6 +116,21 @@ def test_hurwitz_pole_guard():
         hurwitz_mzv((2,), -3.0)
     with pytest.raises(ValueError):
         hurwitz_mzv((2, 1), 0.3)
+
+
+@pytest.mark.parametrize("index, z", [((2, 3, 2, 4), 0.23 + 0.6j), ((2, 2, 2, 2), 0.5),
+                                      ((3, 2, 5), -0.4 + 0.1j), ((4,), 0.2 + 1.5j)])
+def test_hurwitz_prefixes_match_separate_calls(index, z):
+    # one nested sum gives every prefix, each within its error bound of the
+    # prefix's own call; the full index is the public value exactly
+    prefixes = _hurwitz_prefixes(index, z)
+    assert len(prefixes) == len(index) + 1
+    assert prefixes[0] == hurwitz_mzv((), z)
+    assert prefixes[-1] == hurwitz_mzv(index, z)
+    for j, v in enumerate(prefixes):
+        alone = hurwitz_mzv(index[:j], z)
+        assert v.index == alone.index
+        assert abs(v.value - alone.value) <= v.err, (j, v, alone)
 
 
 @pytest.mark.parametrize("index", [(1, 2), (2, 1, 2)])

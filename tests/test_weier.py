@@ -258,3 +258,18 @@ def test_series_caps_raise():
     z = 0.3 + 2e-4j
     direct = np.sum((z + np.arange(-200000, 200001)) ** -2.0)
     assert abs(weier.lipschitz_psi(2, z) - direct) < 1e-4 * abs(direct)
+
+
+def test_g_even_qexp_cap_raises_for_this_k():
+    # 4096 terms reach 1e-19 for G_2 down to Im tau ~ 0.0022, for G_40 only
+    # down to ~ 0.013; between the two, G_2 sums and G_40 names k, tau, bound
+    tau = 0.1 + 0.005j
+    with pytest.raises(ConvergenceError, match=r"G_40 q-series at tau = \(0\.1\+0\.005j\)"):
+        weier._g_even_qexp(40, tau)
+    with pytest.raises(ConvergenceError, match="term bound"):
+        eisenstein_G(40, tau)
+    with pytest.raises(ConvergenceError, match="G_2 q-series"):
+        weier._g_even_qexp(2, 0.1 + 0.002j)
+    assert np.isfinite(weier._g_even_qexp(2, tau))
+    # at Im tau = 0.02 the cap is not reached for any k <= 40
+    assert np.isfinite(weier._g_even_qexp(40, 0.1 + 0.02j))
