@@ -8,7 +8,9 @@ their stuffle closure is spanned, by bilinearity and associativity, by
 products with single indices, and exact integer row reduction gives the
 rank of the relation space in each weight.  Every antipode coefficient is
 an integer, so the rows are built and reduced in Python ints; a Fraction
-appears only for a coefficient that is not integral.
+appears only for a coefficient that is not integral.  A reversed source
+gives the same relation up to sign, antipode_relation(k[::-1]) ==
+(-1)^{|k|-1} antipode_relation(k), so one source of each mirror pair is used.
 """
 from __future__ import annotations
 
@@ -132,48 +134,44 @@ def antipode_relation(source) -> SymbolicCombination:
     return SymbolicCombination._trusted(out, source.weight - 1)
 
 
+def _mirror_sources(weight: int):
+    """The sources k of the given weight with k <= k[::-1]: one of each mirror pair."""
+    return (src for src in compositions_ge2(weight) if src <= src[::-1])
+
+
 @lru_cache(maxsize=None)
 def _antipode_basis(weight: int) -> tuple[SymbolicCombination, ...]:
     """The antipode relations of the given weight that raise the rank when
     inserted in source order: a Q-basis of their span."""
     ech = _IntEchelon(_elimination_columns(weight))
-    rels = (antipode_relation(src) for src in compositions_ge2(weight + 1))
+    rels = map(antipode_relation, _mirror_sources(weight + 1))
     return tuple(rel for rel in rels if rel and ech.insert(rel))
 
 
-def relation_rows(weight: int, products: bool = True):
-    """Generate the antipode relations of the given weight and (optionally)
-    the stuffle products of all admissible single indices u with a Q-basis
-    of the lower-weight antipode relations.  stuffle_mul(u) is linear, so
-    these products span the same space as the products with every antipode
-    relation."""
+def relation_rows(weight: int):
+    """Generate, in non-decreasing term count, the antipode relations of the
+    given weight and the stuffle products of all admissible single indices u
+    with a Q-basis of the lower-weight antipode relations.  stuffle_mul(u) is
+    linear, so these products span the same space as the products with every
+    antipode relation.  Reversal maps the slot i to r+1-i and swaps the two
+    commuting stuffle factors, and the boundary sign changes by (-1)^{|k|-1}:
+    antipode_relation(k[::-1]) == (-1)^{|k|-1} antipode_relation(k), so only
+    one source of each mirror pair is taken."""
     if weight < 2:
         raise ValueError("weight must be >= 2")
-    for source in compositions_ge2(weight + 1):
-        rel = antipode_relation(source)
-        if rel:
-            yield rel
-    if not products:
-        return
+    rows = [rel for rel in map(antipode_relation, _mirror_sources(weight + 1)) if rel]
     for uw in range(2, weight - 1):
-        base_rows = _antipode_basis(weight - uw)
-        if not base_rows:
-            continue
         for u in compositions_ge2(uw):
-            for rel in base_rows:
-                yield rel.stuffle_mul(u)
+            rows.extend(rel.stuffle_mul(u) for rel in _antipode_basis(weight - uw))
+    yield from sorted(rows, key=lambda rel: len(rel.terms))
 
 
 class _IntEchelon:
-    """Incremental exact row echelon over the integers (gcd-normalized).
-
-    A row equal, up to a nonzero rational factor, to one inserted before is
-    recognized by its normalized key and not reduced again."""
+    """Incremental exact row echelon over the integers (gcd-normalized)."""
 
     def __init__(self, col_of: dict):
         self.col_of = col_of
         self.pivots: dict[int, dict[int, int]] = {}
-        self._seen: set[frozenset] = set()
 
     @staticmethod
     def _normalize(row: dict[int, int]) -> dict[int, int]:
@@ -201,10 +199,6 @@ class _IntEchelon:
         if not row:
             return False
         row = self._normalize(row)
-        key = frozenset(row.items())
-        if key in self._seen:
-            return False
-        self._seen.add(key)
         pivots = self.pivots
         while row:
             p = min(row)

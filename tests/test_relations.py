@@ -236,3 +236,33 @@ def test_scalar_multiples_do_not_raise_rank():
     assert mat.add(other)
     assert not mat.add(other.scale(Fraction(-2, 7)))
     assert mat.rank == 2
+
+
+@pytest.mark.parametrize("weight", range(3, 15))
+def test_reversed_source_gives_signed_relation(weight):
+    sign = (-1) ** (weight - 1)
+    for src in compositions_ge2(weight):
+        rel = antipode_relation(src).terms
+        assert antipode_relation(src[::-1]).terms == {w: sign * c for w, c in rel.items()}, src
+
+
+def test_even_weight_palindrome_gives_empty_relation():
+    palindromes = [src for weight in range(4, 15, 2) for src in compositions_ge2(weight)
+                   if src == src[::-1]]
+    assert (2, 3, 3, 2) in palindromes and len(palindromes) > 20
+    for src in palindromes:
+        assert not antipode_relation(src), src
+
+
+@pytest.mark.parametrize("weight", range(2, 13))
+def test_relation_rows_span_every_antipode_relation(weight):
+    rows = list(relation_rows(weight))
+    counts = [len(row.terms) for row in rows]
+    assert counts == sorted(counts)
+    ech = _lex_echelon(weight)
+    for row in rows:
+        ech.insert(row)
+    assert ech.rank == TABLE[weight][2]
+    for src in compositions_ge2(weight + 1):  # the skipped mirror sources too
+        assert not ech.insert(antipode_relation(src)), src
+    assert ech.rank == TABLE[weight][2]
