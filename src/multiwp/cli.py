@@ -199,10 +199,7 @@ def cmd_verify(args) -> int:
     kw = {"seed": args.seed}
     if args.max_weight:
         kw["max_weight"] = args.max_weight
-    checks = []
-    suites = [args.suite] if args.suite != "all" else list(verify.SUITES)
-    for s in suites:
-        checks.extend(verify.run_suite(s, **kw))
+    checks = verify.run_suite(args.suite, **kw)
     failed = [c for c in checks if not c.passed]
     outputs = [c.to_dict() for c in checks]
     report = {

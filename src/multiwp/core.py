@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 from typing import Callable, Iterable, Sequence
 
 
@@ -116,7 +116,7 @@ def beta(lam: Partition) -> Fraction:
     """beta(lambda) = prod 1/(m_k! k^m_k)."""
     out = Fraction(1)
     for k, m in lam.mult.items():
-        out /= Fraction(_factorial(m) * k**m)
+        out /= Fraction(factorial(m) * k**m)
     return out
 
 
@@ -132,17 +132,9 @@ def phi_log(lam: Partition) -> Fraction:
     log(1 - sum x_r Y^r) = - sum_r Tr_r(phi_log; x) Y^r; the leading minus
     sign is checked explicitly in the tests.
     """
-    out = Fraction(_factorial(lam.length - 1))
+    out = Fraction(factorial(lam.length - 1))
     for m in lam.mult.values():
-        out /= _factorial(m)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
+        out /= factorial(m)
     return out
 
 

@@ -10,7 +10,8 @@ and monotangents at m tau are geometric q-series by Lipschitz summation
 
     Psi_k(x) = sum_{n in Z} (x+n)^-k = (-2 pi i)^k/(k-1)! sum_{d>0} d^{k-1} e^{2 pi i d x}
 
-for Im(x) > 0 (the sign is pinned by the direct-sum oracle in the tests).
+for Im(x) > 0 (the sign is pinned by the direct-sum oracle in the tests; the
+amplitude is `weier._lipschitz_amplitude`).
 
 One suffix DP over 0 < m_1 < ... < m_h (`_suffix_dp`) sums every such
 splitting, given one q-series per block and the prefix values.  It has three
@@ -23,14 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, log
+from math import log
 
 import numpy as np
 
-from .core import DEFAULT_CONFIG, EvalConfig, Index, couplings
+from .core import EvalConfig, Index, couplings
 from .kernels import lattice_sorted, ordered_sum, ordered_sums
 from .mzv import mzv
-from .weier import TWO_PI_I, _check_tau, _em_tail, lipschitz_psi
+from .weier import (TWO_PI_I, _as_cfg, _check_tau, _lipschitz_amplitude, _row_sum,
+                    lipschitz_psi)
 
 __all__ = [
     "QOrderError", "MultitangentReduction", "monotangent", "multitangent_reduce",
@@ -67,9 +69,7 @@ def monotangent(k: int, z: complex, method: str = "auto", N: int = 2000) -> comp
         if z.imag < 0:
             return (-1) ** k * lipschitz_psi(k, -z)
         raise ValueError("qexp path needs Im(z) != 0")
-    n = np.arange(-N, N + 1, dtype=float)
-    vals = (z + n) ** float(-k)
-    return complex(np.sum(vals)) + _em_tail(z, N + 1, k) + (-1) ** k * _em_tail(-z, N + 1, k)
+    return _row_sum(z, N + 1, k)
 
 
 def multitangent_direct(index, z: complex, N: int = 30000) -> complex:
@@ -127,11 +127,13 @@ def multitangent_reduce(index) -> MultitangentReduction:
 # direct (slow) evaluation
 # ---------------------------------------------------------------------------
 
-def _meis_sweep(index: Index, tau: complex, cfg: EvalConfig) -> tuple:
-    """The ``ordered_sum`` arguments of the truncated sum over 0 < w_1 < ... < w_r
-    (trailing-2 telescoping split)."""
+def _tilde_sweep(index: Index, xs, tau: complex, cfg: EvalConfig) -> tuple:
+    """The ``ordered_sum`` arguments of the sweep over the lattice points
+    w > 0 that gives the truncated restricted sums of index[s:] at xs[s:]
+    (trailing-2 telescoping split); at xs = 0 the full one is the truncated
+    sum over 0 < w_1 < ... < w_r of `meis_direct`."""
     w, pos0 = lattice_sorted(tau, cfg.M, cfg.N)
-    return w[pos0 + 1:], [0.0] * index.depth, list(index), index[-1] == 2, 0.0
+    return w[pos0 + 1:], [complex(x) for x in xs], list(index), index[-1] == 2, 0.0
 
 
 def meis_direct(index, tau: complex, cfg: EvalConfig | None = None) -> complex:
@@ -140,8 +142,8 @@ def meis_direct(index, tau: complex, cfg: EvalConfig | None = None) -> complex:
     index = Index(index)
     _require_admissible(index)
     tau = _check_tau(tau)
-    cfg = cfg if cfg is not None else DEFAULT_CONFIG
-    return (-1) ** (index.weight % 2) * ordered_sum(*_meis_sweep(index, tau, cfg))[0]
+    sweep = _tilde_sweep(index, [0.0] * index.depth, tau, _as_cfg(cfg))
+    return (-1) ** (index.weight % 2) * ordered_sum(*sweep)[0]
 
 
 def meis_direct_error(index, tau: complex,
@@ -151,9 +153,10 @@ def meis_direct_error(index, tau: complex,
     index = Index(index)
     _require_admissible(index)
     tau = _check_tau(tau)
-    cfg = cfg if cfg is not None else DEFAULT_CONFIG
-    fine, coarse = ordered_sums([_meis_sweep(index, tau, cfg.refined()),
-                                 _meis_sweep(index, tau, cfg)])
+    cfg = _as_cfg(cfg)
+    zeros = [0.0] * index.depth
+    fine, coarse = ordered_sums([_tilde_sweep(index, zeros, tau, cfg.refined()),
+                                 _tilde_sweep(index, zeros, tau, cfg)])
     sign = (-1) ** (index.weight % 2)
     v1, v2 = sign * coarse[0], sign * fine[0]
     return v2, abs(v2 - v1)
@@ -207,10 +210,10 @@ def _suffix_dp(Q: np.ndarray, prefix) -> complex:
 
 @lru_cache(maxsize=None)
 def _block_amplitudes(block: tuple, digits: int) -> tuple[tuple[int, complex], ...]:
-    """Pairs (n, c_n (-2 pi i)^n / (n-1)!) with Psi_block(x) = sum_n c_n Psi_n(x),
-    so that Psi_block(m tau) = sum_n amplitude_n P_n(q^m).  tau-free."""
+    """Pairs (n, c_n amplitude_n) with Psi_block(x) = sum_n c_n Psi_n(x), so
+    that Psi_block(m tau) = sum_n c_n amplitude_n P_n(q^m).  tau-free."""
     red = multitangent_reduce(block).coefficients(digits)
-    return tuple((n, c * (-TWO_PI_I) ** n / factorial(n - 1)) for n, c in red.items())
+    return tuple((n, c * _lipschitz_amplitude(n)) for n, c in red.items())
 
 
 @lru_cache(maxsize=None)
@@ -300,7 +303,7 @@ def g_function(index, z: complex, tau: complex, q_order: int = 64) -> complex:
     P = _strip_p_matrix(complex(z), tau, r, max(index), q_order)
     Q = np.zeros((r * (r + 1) // 2, P.shape[1]), dtype=complex)
     for i, k in enumerate(index):  # the block k_{i+1} opens row group i
-        Q[(r - i - 1) * (r - i) // 2] = (-TWO_PI_I) ** k / factorial(k - 1) * P[k - 2]
+        Q[(r - i - 1) * (r - i) // 2] = _lipschitz_amplitude(k) * P[k - 2]
     return _suffix_dp(Q, (1.0,) + (0.0,) * r)
 
 

@@ -19,7 +19,7 @@ from .core import (ConvergenceError, EvalConfig, Index, compositions_fixed, coup
                    stuffle_expand)
 from .kernels import lattice_sorted, ordered_sum, ordered_sums
 from .meisen import (_amplitude_matrix, _require_admissible, _strip_p_matrix, _suffix_dp,
-                     g_function, meis_qexp, monotangent, multitangent_reduce)
+                     _tilde_sweep, g_function, meis_qexp, monotangent, multitangent_reduce)
 from .mzv import _hurwitz_prefixes
 from .weier import TWO_PI_I, _as_cfg, _check_tau, lattice_reduce, wp_k
 
@@ -35,13 +35,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # restricted multivariable wp
 # ---------------------------------------------------------------------------
-
-def _tilde_sweep(index: Index, xs, tau: complex, cfg: EvalConfig) -> tuple:
-    """The ``ordered_sum`` arguments of the sweep over the lattice points
-    w > 0 that gives the truncated restricted sums of index[s:] at xs[s:]."""
-    w, pos0 = lattice_sorted(tau, cfg.M, cfg.N)
-    return w[pos0 + 1:], [complex(x) for x in xs], list(index), index[-1] == 2, 0.0
-
 
 def _tilde_kernel(index: Index, xs, tau: complex, cfg: EvalConfig) -> list[complex]:
     """The truncated restricted sums of index[s:] at xs[s:], for every s, from
@@ -223,11 +216,13 @@ class ReducedForm:
         return _terms_value(self.const_terms, tau, q_order, digits)
 
     def evaluate(self, z: complex, tau: complex, cfg: EvalConfig | None = None,
-                 q_order: int = 64, digits: int = 12) -> complex:
+                 digits: int = 12) -> complex:
+        """sum_n coeff_n(tau) wp_n(z) + const(tau): the coefficients by
+        `meis_qexp` at cfg.q_order, the wp_n by `wp_k` under cfg."""
         cfg = _as_cfg(cfg)
-        out = self.const_value(tau, q_order, digits)
+        out = self.const_value(tau, cfg.q_order, digits)
         for n, _ in self.wp_terms:
-            out += self.coeff_value(n, tau, q_order, digits) * wp_k(n, z, tau, cfg)
+            out += self.coeff_value(n, tau, cfg.q_order, digits) * wp_k(n, z, tau, cfg)
         return out
 
     def coeff_combination(self, n: int) -> dict[Index, Fraction]:

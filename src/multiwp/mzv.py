@@ -35,7 +35,9 @@ class MzvValue:
 
 
 def _em_power_list(gamma: int) -> list[tuple[float, int]]:
-    """H(gamma, n) = sum_{m >= n} m^-gamma  ~=  sum_j c_j n^-beta_j."""
+    """H(gamma, n) = sum_{m >= n} m^-gamma  ~=  sum_j c_j n^-beta_j, the
+    five-term Euler-Maclaurin tail; n may be complex (n = x + N gives
+    sum_{m >= N} (x + m)^-gamma, the row tails of `weier`)."""
     g = float(gamma)
     return [
         (1.0 / (g - 1.0), gamma - 1),
@@ -175,6 +177,7 @@ def mzv_value(index, digits: int = 12) -> float:
     return mzv(index, digits).real
 
 
+@lru_cache(maxsize=64)
 def zeta_even_exact(k: int) -> Fraction:
     """zeta(k) = c * pi^k for even k; returns the exact rational c.
 

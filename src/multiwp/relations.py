@@ -242,7 +242,6 @@ class RelationMatrix:
 
     def __init__(self, weight: int):
         self.weight = weight
-        self.basis = compositions_ge2(weight)
         self._ech = _IntEchelon(_elimination_columns(weight))
 
     def add(self, comb: SymbolicCombination) -> bool:

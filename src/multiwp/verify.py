@@ -201,13 +201,6 @@ def suite_dual_pipeline(max_weight: int = 7,
 # criterion 7: depth-one classics
 # ---------------------------------------------------------------------------
 
-_DERIV_TABLE = {
-    1: {(1, 0): 1, (0, 0): ("G", 2)},
-    2: {(2, 0): 6, (0, 0): (-30, 4)},
-    3: {(3, 0): 120, (1, 0): (-1080, 4), (0, 0): (-1680, 6)},
-}
-
-
 def _reference_deriv_poly(k: int) -> WpPolynomial:
     """The classical table for wp_2^{(2k-2)}, k = 1..6, entered verbatim."""
     G4, G6 = QuasiModular.gen(4), QuasiModular.gen(6)

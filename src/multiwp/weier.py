@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, exp, factorial, lgamma, log, pi
+from math import comb, exp, factorial, log, pi
 
 import numpy as np
 
 from .core import (DEFAULT_CONFIG, ConvergenceError, EvalConfig, beta, beta_prime,
                    partition_trace, phi_log)
+from .mzv import _em_power_list, _plist_eval, zeta_even_exact
 from .qmod import QuasiModular, WpPolynomial
 
 TWO_PI_I = 2j * pi
@@ -64,16 +65,22 @@ def lattice_reduce(z: complex, tau: complex) -> tuple[complex, int, int]:
 # Eisenstein series
 # ---------------------------------------------------------------------------
 
+def _lipschitz_amplitude(k: int) -> complex:
+    """(-2 pi i)^k / (k-1)!, the factor of the Lipschitz series
+    Psi_k(x) = amplitude_k sum_{d>0} d^{k-1} e^{2 pi i d x}, Im(x) > 0."""
+    return (-TWO_PI_I) ** k / factorial(k - 1)
+
+
 def _g_log_term(k: int, n: int, aq: float) -> float:
-    """log of amp_k n^{k-1} |q|^n, amp_k = (2 pi)^k / (k-1)!: the size the
-    stopping test of `_g_even_qexp` takes for the n-th term of the G_k
-    q-series."""
-    return k * log(2 * pi) - lgamma(k) + (k - 1) * log(n) + n * log(aq)
+    """log of |amplitude_k| n^{k-1} |q|^n: the size the stopping test of
+    `_g_even_qexp` takes for the n-th term of the G_k q-series."""
+    return log(abs(_lipschitz_amplitude(k))) + (k - 1) * log(n) + n * log(aq)
 
 
 def _g_even_qexp(k: int, tau: complex) -> complex:
-    """Even G_k by the sigma_{k-1} q-series (k <= 40); raises
-    ConvergenceError when 4096 terms do not bring this k's term below 1e-19."""
+    """Even G_k = 2 zeta(k) + 2 amplitude_k sum_n sigma_{k-1}(n) q^n (k <= 40),
+    zeta(k) from Euler's closed form; raises ConvergenceError when 4096
+    terms do not bring this k's term below 1e-19."""
     q = np.exp(TWO_PI_I * tau)
     aq = abs(q)
     # n doubles until the term is below 1e-19 for every even k <= 40, which
@@ -90,26 +97,16 @@ def _g_even_qexp(k: int, tau: complex) -> complex:
     sig = np.zeros(nmax + 1)
     for d in range(1, nmax + 1):
         sig[d::d] += np.exp((k - 1) * np.log(d))
-    amp = np.exp(k * log(2 * pi) - lgamma(k)) * (-1.0) ** (k // 2)
-    zk = float(zeta_real(k))
-    return 2 * zk + 2 * amp * complex(np.sum(sig[1:] * q**n))
+    zk = float(zeta_even_exact(k)) * pi**k
+    return 2 * zk + 2 * _lipschitz_amplitude(k) * complex(np.sum(sig[1:] * q**n))
 
 
 def _g_ball(k: int, tau: complex, B: int = 18) -> complex:
     """G_k by a small direct lattice ball (high k: brutal |w|^-k decay)."""
     m = np.arange(-B, B + 1)
-    w = (m[:, None] * tau + m[None, :] * 0 + np.arange(-B, B + 1)[None, :]).ravel()
+    w = (m[:, None] * tau + m[None, :]).ravel()
     w = w[np.abs(w) > 1e-12]
     return complex(np.sum(w ** float(-k)))
-
-
-@lru_cache(maxsize=64)
-def zeta_real(k: int) -> float:
-    """Riemann zeta at integer k >= 2 (direct sum + Euler-Maclaurin tail)."""
-    n = np.arange(1, 20001, dtype=float)
-    s = float(np.sum(n ** float(-k)))
-    x = 20001.0
-    return s + x ** (1 - k) / (k - 1) + x ** (-k) / 2 + k / 12 * x ** (-k - 1)
 
 
 def eisenstein_G(k: int, tau: complex, cfg: EvalConfig | None = None,
@@ -135,21 +132,13 @@ def _g_even(k: int, tau: complex) -> complex:
     return _g_even_qexp(k, tau) if k <= 40 else _g_ball(k, tau)
 
 
-def _em_tail(x: complex, N: int, k: int) -> complex:
-    """sum_{n >= N} (x + n)^-k by Euler-Maclaurin (5 correction terms)."""
-    y = x + N
-    out = y ** (1 - k) / (k - 1) + 0.5 * y ** float(-k) + k / 12.0 * y ** float(-k - 1)
-    out -= k * (k + 1) * (k + 2) / 720.0 * y ** float(-k - 3)
-    out += k * (k + 1) * (k + 2) * (k + 3) * (k + 4) / 30240.0 * y ** float(-k - 5)
-    return out
-
-
 def _row_sum(x: complex, N: int, k: int) -> complex:
     """sum_{n in Z} (x + n)^-k, exact row value via symmetric sum + EM tails."""
     n = np.arange(-N + 1, N, dtype=float)
     s = complex(np.sum((x + n) ** float(-k)))
-    s += _em_tail(x, N, k)
-    s += (-1) ** k * _em_tail(-x, N, k)
+    tail = _em_power_list(k)
+    s += _plist_eval(tail, x + N)
+    s += (-1) ** k * _plist_eval(tail, -x + N)
     return s
 
 
@@ -157,15 +146,16 @@ def _eisenstein_G_lattice(k: int, tau: complex, cfg: EvalConfig) -> complex:
     total = 0.0 + 0.0j
     # m = 0 row: n != 0
     n = np.arange(1, cfg.N, dtype=float)
-    total += (1 + (-1) ** k) * (complex(np.sum(n ** float(-k))) + _em_tail(0.0, cfg.N, k))
+    tail = _plist_eval(_em_power_list(k), float(cfg.N))
+    total += (1 + (-1) ** k) * (complex(np.sum(n ** float(-k))) + tail)
     for m in range(1, cfg.M):
         total += _row_sum(m * tau, cfg.N, k)
         total += _row_sum(-m * tau, cfg.N, k)
     return total
 
 
-def lipschitz_psi(k: int, x: complex, eps: float = 1e-17) -> complex:
-    """Psi_k(x) = sum_{n in Z} (x+n)^-k = (-2 pi i)^k/(k-1)! sum_{d>0} d^{k-1} xi^d
+def lipschitz_psi(k: int, x: complex) -> complex:
+    """Psi_k(x) = sum_{n in Z} (x+n)^-k = amplitude_k sum_{d>0} d^{k-1} xi^d
     for Im(x) > 0 (sign convention fixed against the direct sum); raises
     ConvergenceError when the series needs more than 40000 terms."""
     xi = np.exp(TWO_PI_I * complex(x))
@@ -179,7 +169,7 @@ def lipschitz_psi(k: int, x: complex, eps: float = 1e-17) -> complex:
             f"term 40000 has size {last:.2e}")
     d = np.arange(1, D + 1, dtype=float)
     series = complex(np.sum(d ** (k - 1) * xi**d))
-    return (-TWO_PI_I) ** k / factorial(k - 1) * series
+    return _lipschitz_amplitude(k) * series
 
 
 # ---------------------------------------------------------------------------
@@ -205,22 +195,27 @@ def wp_k(k: int, z: complex, tau: complex, cfg: EvalConfig | None = None,
     return _wp_k_rows(k, z0, tau, cfg)
 
 
-def _wp_k_series(k: int, z0: complex, tau: complex, eps: float = 1e-17) -> complex:
-    """Taylor series of wp_k - 1/z^k at 0, to m <= 400; raises
-    ConvergenceError when that cap comes before three small terms."""
+def _capped_series(terms, eps: float, what: str) -> complex:
+    """Sum of ``terms`` up to the first three in a row below eps (1 + |sum|);
+    raises ConvergenceError naming ``what`` when the terms run out first."""
     acc = 0.0 + 0.0j
-    last_small = 0
-    # from the first m with m+k even (the m=0 term is (-1)^k G_k)
-    for m in range(k % 2, 401, 2):
-        g = eisenstein_G(m + k, tau)
-        t = comb(m + k - 1, k - 1) * g * z0**m
+    small = count = 0
+    t = 0.0
+    for count, t in enumerate(terms, 1):
         acc += t
-        last_small = last_small + 1 if abs(t) < eps * (1 + abs(acc)) else 0
-        if last_small >= 3:
-            return z0 ** float(-k) + (-1) ** k * acc
-    raise ConvergenceError(
-        f"_wp_k_series: wp_{k} series at z0 = {z0} not converged by m = 400: "
-        f"last term {abs(t):.2e}")
+        small = small + 1 if abs(t) < eps * (1 + abs(acc)) else 0
+        if small >= 3:
+            return acc
+    raise ConvergenceError(f"{what} not converged in {count} terms: last term {abs(t):.2e}")
+
+
+def _wp_k_series(k: int, z0: complex, tau: complex, eps: float = 1e-17) -> complex:
+    """Taylor series of wp_k - 1/z^k at 0, to m <= 400 (the m = 0 term is
+    (-1)^k G_k); raises ConvergenceError when that cap comes first."""
+    terms = (comb(m + k - 1, k - 1) * eisenstein_G(m + k, tau) * z0**m
+             for m in range(k % 2, 401, 2))
+    acc = _capped_series(terms, eps, f"_wp_k_series: wp_{k} series at z0 = {z0}")
+    return z0 ** float(-k) + (-1) ** k * acc
 
 
 def _wp_k_rows(k: int, z0: complex, tau: complex, cfg: EvalConfig) -> complex:
@@ -280,17 +275,8 @@ def _sigma_core(z0: complex, tau: complex, rmin: float) -> complex:
     if abs(z0) > 0.72 * rmin:
         u = z0 / 2.0
         return -wp_prime(u, tau) * _sigma_core(u, tau, rmin) ** 4
-    acc = 0.0 + 0.0j
-    small = 0
-    for k in range(2, 401, 2):
-        t = eisenstein_G(k, tau) * z0**k / k
-        acc += t
-        small = small + 1 if abs(t) < 1e-18 * (1 + abs(acc)) else 0
-        if small >= 3:
-            return z0 * np.exp(-acc)
-    raise ConvergenceError(
-        f"_sigma_core: sigma series at z0 = {z0} not converged by k = 400: "
-        f"last term {abs(t):.2e}")
+    terms = (eisenstein_G(k, tau) * z0**k / k for k in range(2, 401, 2))
+    return z0 * np.exp(-_capped_series(terms, 1e-18, f"_sigma_core: sigma series at z0 = {z0}"))
 
 
 def _sigma_product(z: complex, tau: complex, cfg: EvalConfig) -> complex:
@@ -322,17 +308,8 @@ def _zeta_core(z0: complex, tau: complex, rmin: float) -> complex:
         wpp = wp_prime(u, tau)
         wp2d = 6.0 * wp(u, tau) ** 2 - 30.0 * eisenstein_G(4, tau)
         return 2.0 * _zeta_core(u, tau, rmin) + wp2d / (2.0 * wpp)
-    acc = 0.0 + 0.0j
-    small = 0
-    for k in range(2, 401, 2):
-        t = eisenstein_G(k, tau) * z0 ** (k - 1)
-        acc += t
-        small = small + 1 if abs(t) < 1e-18 * (1 + abs(acc)) else 0
-        if small >= 3:
-            return 1.0 / z0 - acc
-    raise ConvergenceError(
-        f"_zeta_core: zeta series at z0 = {z0} not converged by k = 400: "
-        f"last term {abs(t):.2e}")
+    terms = (eisenstein_G(k, tau) * z0 ** (k - 1) for k in range(2, 401, 2))
+    return 1.0 / z0 - _capped_series(terms, 1e-18, f"_zeta_core: zeta series at z0 = {z0}")
 
 
 def quasi_periods(tau: complex, cfg: EvalConfig | None = None) -> tuple[complex, complex]:

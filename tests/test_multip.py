@@ -8,7 +8,7 @@ from fractions import Fraction
 from multiwp.core import ConvergenceError, EvalConfig, Index
 from multiwp.qmod import QuasiModular, WpPolynomial
 from multiwp import weier
-from multiwp.meisen import meis_direct, meis_qexp
+from multiwp.meisen import QOrderError, meis_direct, meis_qexp
 from multiwp.multip import (_multivar_split, _tilde_kernel, _tilde_taylor, antipode_residual,
                             fourier_c, modular_transform_check, multiwp22_fourier, multiwp_direct,
                             multiwp_multivar, multiwp_raw, multiwp_reduce, multiwp_tilde,
@@ -220,6 +220,16 @@ def test_reduce_matches_direct_numerically():
         got = rf.evaluate(Z, TAU, FINE)
         want = multiwp_direct(ix, Z, TAU, FINE)
         assert abs(got - want) < 1e-6, ix
+
+
+def test_reduced_evaluate_reads_cfg_q_order():
+    # the coefficients take their q-order from cfg, so a q-order too small
+    # for tau fails as it does in meis_qexp
+    cfg = EvalConfig(q_order=16)
+    with pytest.raises(QOrderError, match="q_order=16 too small"):
+        meis_qexp((2, 2), 0.15j, 16)
+    with pytest.raises(QOrderError, match="q_order=16 too small"):
+        multiwp_reduce((2, 2)).evaluate(0.03 + 0.02j, 0.15j, cfg)
 
 
 def test_harmonic_product_numeric():

@@ -25,11 +25,13 @@ def test_eisenstein_odd_vanish_and_errors():
 
 
 def test_eisenstein_fast_vs_lattice():
+    # every even G_k the q-series serves, each at two tau
     cfg = EvalConfig(M=400, N=400)
-    for k in (2, 4, 6):
-        fast = eisenstein_G(k, 1j)
-        slow = eisenstein_G(k, 1j, cfg, method="lattice")
-        assert abs(fast - slow) < 1e-8 * (1 + abs(fast))
+    for tau in (1j, 0.3 + 1.1j):
+        for k in range(2, 41, 2):
+            fast = eisenstein_G(k, tau)
+            slow = eisenstein_G(k, tau, cfg, method="lattice")
+            assert abs(fast - slow) < 1e-8 * (1 + abs(fast)), (k, tau)
 
 
 def test_classical_weight8_identity():
