@@ -3,7 +3,7 @@ multiple zeta values, and the exact relation counting they induce."""
 
 from .core import (DEFAULT_CONFIG, EvalConfig, Index, Partition, TruncatedSeries,
                    bernoulli, beta, beta_prime, compositions_ge2, partition_trace,
-                   partitions, phi_log, series_mul, stuffle)
+                   partitions, phi_log, stuffle)
 from .mzv import MzvValue, hurwitz_mzv, mzv, zeta_even_exact
 from .weier import (eisenstein_G, repeated_index_closed_form, sigma, weier_zeta,
                     wp, wp_deriv_poly, wp_deriv_trace_form, wp_k, wp_prime)
@@ -20,7 +20,7 @@ from .relations import (SymbolicCombination, antipode_relation, conjectured_dim,
 __all__ = [
     "DEFAULT_CONFIG", "EvalConfig", "Index", "Partition", "TruncatedSeries",
     "bernoulli", "beta", "beta_prime", "compositions_ge2", "partition_trace",
-    "partitions", "phi_log", "series_mul", "stuffle",
+    "partitions", "phi_log", "stuffle",
     "MzvValue", "hurwitz_mzv", "mzv", "zeta_even_exact",
     "eisenstein_G", "repeated_index_closed_form", "sigma", "weier_zeta",
     "wp", "wp_deriv_poly", "wp_deriv_trace_form", "wp_k", "wp_prime",

@@ -136,8 +136,7 @@ def cmd_eval(args) -> int:
     elif fn == "eisenstein":
         val = weier.eisenstein_G(index[0], tau, cfg)
     elif fn == "mzv":
-        m = mzv_value_of(index, args.digits)
-        val = m.value
+        val = mzv_value_of(index).value
     else:
         raise ValueError(f"unknown --fn {fn}")
     report = {
@@ -181,8 +180,8 @@ def cmd_qexp(args) -> int:
     cfg = load_config(args.config, args)
     index = parse_index(args.index)
     tau = parse_complex(args.tau)
-    val = meisen.meis_qexp(index, tau, cfg.q_order, args.digits)
-    const = mzv_value_of(index, args.digits)
+    val = meisen.meis_qexp(index, tau, cfg.q_order)
+    const = mzv_value_of(index)
     report = {
         "command": "qexp",
         "inputs": {"index": list(index), "tau": _cnum(tau), "q_order": cfg.q_order},
@@ -262,7 +261,6 @@ def _common_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
     p.add_argument("-N", type=int, dest="N", default=d(None))
     p.add_argument("--q-order", type=int, dest="q_order", default=d(None))
     p.add_argument("--tol", type=float, default=d(None))
-    p.add_argument("--digits", type=int, default=d(12), help="MZV working digits")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -443,11 +443,6 @@ def _div(c, n: int):
         return c * (1.0 / n)
 
 
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated to the smaller order (errors on tag mismatch)."""
-    return a * b
-
-
 # ---------------------------------------------------------------------------
 # evaluation configuration
 # ---------------------------------------------------------------------------

@@ -89,17 +89,16 @@ class MultitangentReduction:
     index: Index
     terms: tuple[tuple[Fraction, Index, Index, int], ...]
 
-    def coefficients(self, digits: int = 12) -> dict[int, complex]:
+    def coefficients(self) -> dict[int, complex]:
         """Numeric map n -> coefficient of Psi_n."""
         out: dict[int, complex] = {}
         for c, za, zb, n in self.terms:
-            v = float(c) * mzv(za, digits).value * mzv(zb, digits).value
+            v = float(c) * mzv(za).value * mzv(zb).value
             out[n] = out.get(n, 0.0) + v
         return out
 
-    def evaluate(self, z: complex, digits: int = 12, method: str = "auto") -> complex:
-        return sum(c * monotangent(n, z, method)
-                   for n, c in self.coefficients(digits).items())
+    def evaluate(self, z: complex, method: str = "auto") -> complex:
+        return sum(c * monotangent(n, z, method) for n, c in self.coefficients().items())
 
 
 @lru_cache(maxsize=None)
@@ -208,53 +207,57 @@ def _suffix_dp(Q: np.ndarray, prefix) -> complex:
     return complex(np.dot(prefix, R[:, 0]))
 
 
+def _q_terms_needed(ratio: float, depth: int, q_order: int) -> int:
+    """The number of rows m a q-series of the given depth needs: depth + 1
+    past the point where ratio^m, its largest geometric ratio, falls below
+    1e-18; raises QOrderError when that exceeds q_order."""
+    need = int(np.ceil(log(1e-18) / log(ratio))) + depth + 1
+    if need > q_order:
+        raise QOrderError(
+            f"q_order={q_order} too small: tail ~ {ratio:.3g}^{q_order + 1} = "
+            f"{ratio ** (q_order + 1):.2e} exceeds the target precision; need ~{need}")
+    return need
+
+
 @lru_cache(maxsize=None)
-def _block_amplitudes(block: tuple, digits: int) -> tuple[tuple[int, complex], ...]:
+def _block_amplitudes(block: tuple) -> tuple[tuple[int, complex], ...]:
     """Pairs (n, c_n amplitude_n) with Psi_block(x) = sum_n c_n Psi_n(x), so
     that Psi_block(m tau) = sum_n c_n amplitude_n P_n(q^m).  tau-free."""
-    red = multitangent_reduce(block).coefficients(digits)
+    red = multitangent_reduce(block).coefficients()
     return tuple((n, c * _lipschitz_amplitude(n)) for n, c in red.items())
 
 
 @lru_cache(maxsize=None)
-def _prefix_values(index: tuple, digits: int) -> tuple[float, ...]:
+def _prefix_values(index: tuple) -> tuple[float, ...]:
     """zeta(k_1..k_j) for j = 0..r, with 1 for the empty prefix.  tau-free."""
-    return (1.0,) + tuple(mzv(index[:j], digits).value for j in range(1, len(index) + 1))
+    return (1.0,) + tuple(mzv(index[:j]).value for j in range(1, len(index) + 1))
 
 
 @lru_cache(maxsize=None)
-def _amplitude_matrix(index: tuple, digits: int) -> np.ndarray:
+def _amplitude_matrix(index: tuple) -> np.ndarray:
     """One row per block k_{i+1..t}, for i = r-1, ..., 0 and then t = i+1..r:
     the block amplitudes at n = 2..weight(index).  tau-free, read-only."""
     r = len(index)
     blocks = [index[i:t] for i in range(r - 1, -1, -1) for t in range(i + 1, r + 1)]
     A = np.zeros((len(blocks), sum(index) - 1), dtype=complex)
     for row, block in enumerate(blocks):
-        for n, a in _block_amplitudes(block, digits):
+        for n, a in _block_amplitudes(block):
             A[row, n - 2] = a
     A.flags.writeable = False
     return A
 
 
 @lru_cache(maxsize=4096)
-def _meis_qexp_cached(index: tuple, tau: complex, q_order: int, digits: int) -> complex:
+def _meis_qexp_cached(index: tuple, tau: complex, q_order: int) -> complex:
     """The suffix DP with block b at Q_b(m) = Psi_b(m tau), from x = q^m, and
     the MZV prefixes."""
-    r, w = len(index), sum(index)
     q = complex(np.exp(TWO_PI_I * tau))
-    aq = abs(q)
-    need = int(np.ceil(log(1e-18) / log(aq))) + r + 1
-    if need > q_order:
-        raise QOrderError(
-            f"q_order={q_order} too small: tail ~ |q|^{q_order + 1} = "
-            f"{aq ** (q_order + 1):.2e} exceeds the target precision; need ~{need}")
-    mmax = min(q_order, need)
-    dmax = min(q_order, max(need, 8))
-    P = _p_matrix(q ** np.arange(1, mmax + 1), dmax, w)
-    return _suffix_dp(_amplitude_matrix(index, digits) @ P, _prefix_values(index, digits))
+    need = _q_terms_needed(abs(q), len(index), q_order)
+    P = _p_matrix(q ** np.arange(1, need + 1), min(q_order, max(need, 8)), sum(index))
+    return _suffix_dp(_amplitude_matrix(index) @ P, _prefix_values(index))
 
 
-def meis_qexp(index, tau: complex, q_order: int = 64, digits: int = 12) -> complex:
+def meis_qexp(index, tau: complex, q_order: int = 64) -> complex:
     """Multiple Eisenstein series via the Fourier / multitangent pipeline.
 
     Fast and accurate for Im(tau) bounded away from 0; raises QOrderError
@@ -264,7 +267,7 @@ def meis_qexp(index, tau: complex, q_order: int = 64, digits: int = 12) -> compl
     tau = _check_tau(tau)
     if index.depth == 0:
         return 1.0 + 0.0j
-    return _meis_qexp_cached(tuple(index), tau, int(q_order), int(digits))
+    return _meis_qexp_cached(tuple(index), tau, int(q_order))
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +277,15 @@ def meis_qexp(index, tau: complex, q_order: int = 64, digits: int = 12) -> compl
 def _strip_p_matrix(z: complex, tau: complex, depth: int, nmax: int,
                     q_order: int) -> np.ndarray:
     """`_p_matrix` at x = xi q^m, xi = e^{2 pi i z}, for a strip series of
-    the given depth: m runs to mmax = depth + 1 past the point where
-    max(|xi q|, |q|)^m falls below 1e-18, and d to 4 mmax.  The d-power
-    table is the cached tau-free one of `_p_matrix`, so only the power
-    table x^d is built per call."""
+    the given depth: m runs to mmax = `_q_terms_needed` at the ratio
+    max(|xi q|, |q|), and d to 4 mmax.  The d-power table is the cached
+    tau-free one of `_p_matrix`, so only the power table x^d is built per
+    call."""
     q = complex(np.exp(TWO_PI_I * tau))
     xi = complex(np.exp(TWO_PI_I * z))
     if abs(xi * q) >= 1:
         raise ValueError("strip violated: need Im(z) > -Im(tau)")
-    need = int(np.ceil(log(1e-18) / log(max(abs(xi * q), abs(q))))) + depth + 1
-    if need > q_order:
-        raise QOrderError(f"q_order={q_order} too small for the strip point; need ~{need}")
+    need = _q_terms_needed(max(abs(xi * q), abs(q)), depth, q_order)
     return _p_matrix(xi * q ** np.arange(1, need + 1), 4 * need, nmax)
 
 

@@ -42,8 +42,8 @@ def _tilde_kernel(index: Index, xs, tau: complex, cfg: EvalConfig) -> list[compl
     return ordered_sum(*_tilde_sweep(index, xs, tau, cfg))
 
 
-def _tilde_taylor(index: Index, xs, tau: complex, q_order: int, digits: int,
-                  tol: float, max_order: int = 26) -> complex:
+def _tilde_taylor(index: Index, xs, tau: complex, q_order: int, tol: float,
+                  max_order: int = 26) -> complex:
     """The Eisenstein Taylor series of the restricted wp, summed shell by shell
     (total order p); stops after two small shells with p >= 4 and raises
     ConvergenceError when max_order comes first."""
@@ -56,7 +56,7 @@ def _tilde_taylor(index: Index, xs, tau: complex, q_order: int, digits: int,
             c = 1.0
             for n_j, k_j, x_j in zip(ns, index, xs):
                 c *= (-1) ** k_j * comb(n_j + k_j - 1, k_j - 1) * complex(x_j) ** n_j
-            gt = meis_qexp(Index(n + k for n, k in zip(ns, index)), tau, q_order, digits)
+            gt = meis_qexp(Index(n + k for n, k in zip(ns, index)), tau, q_order)
             shell += c * gt
         total += shell
         small = small + 1 if abs(shell) <= tol * (1.0 + abs(total)) else 0
@@ -92,7 +92,7 @@ def multiwp_tilde(index, xs, tau: complex, cfg: EvalConfig | None = None,
     if method == "taylor" or (method == "auto" and small and index.depth <= 3):
         if not small:
             raise ValueError("taylor path needs all |x_i| <= 0.45")
-        return _tilde_taylor(index, xs, tau, cfg.q_order, 13, cfg.tol * 1e-4)
+        return _tilde_taylor(index, xs, tau, cfg.q_order, cfg.tol * 1e-4)
     return _tilde_kernel(index, xs, tau, cfg)[0]
 
 
@@ -147,15 +147,10 @@ def multiwp_direct(index, z: complex, tau: complex,
                    cfg: EvalConfig | None = None) -> complex:
     """Multiple wp-function: iterated Eisenstein-ordered lattice sum over
     w_1 < ... < w_r of prod (z - w_s)^{-k_s} (inner n-limits accelerated by
-    Richardson extrapolation over cfg.N, 2 cfg.N, 4 cfg.N)."""
+    Richardson extrapolation over cfg.N, 2 cfg.N, 4 cfg.N); the
+    multivariable wp at z_1 = ... = z_r = z."""
     index = Index(index)
-    _require_admissible(index)
-    tau = _check_tau(tau)
-    cfg = _as_cfg(cfg)
-    z = complex(z)
-    if abs(lattice_reduce(z, tau)[0]) < 1e-12:
-        raise ZeroDivisionError("multiwp pole: z on the lattice")
-    return _split_extrapolated(index, [z] * index.depth, tau, cfg)
+    return multiwp_multivar(index, [z] * index.depth, tau, cfg)
 
 
 def multiwp_raw(index, z: complex, tau: complex,
@@ -207,22 +202,19 @@ class ReducedForm:
     def wp_map(self) -> dict[int, tuple[Term, ...]]:
         return dict(self.wp_terms)
 
-    def coeff_value(self, n: int, tau: complex, q_order: int = 64,
-                    digits: int = 12) -> complex:
-        terms = self.wp_map().get(n, ())
-        return _terms_value(terms, tau, q_order, digits)
+    def coeff_value(self, n: int, tau: complex, q_order: int = 64) -> complex:
+        return _terms_value(self.wp_map().get(n, ()), tau, q_order)
 
-    def const_value(self, tau: complex, q_order: int = 64, digits: int = 12) -> complex:
-        return _terms_value(self.const_terms, tau, q_order, digits)
+    def const_value(self, tau: complex, q_order: int = 64) -> complex:
+        return _terms_value(self.const_terms, tau, q_order)
 
-    def evaluate(self, z: complex, tau: complex, cfg: EvalConfig | None = None,
-                 digits: int = 12) -> complex:
+    def evaluate(self, z: complex, tau: complex, cfg: EvalConfig | None = None) -> complex:
         """sum_n coeff_n(tau) wp_n(z) + const(tau): the coefficients by
         `meis_qexp` at cfg.q_order, the wp_n by `wp_k` under cfg."""
         cfg = _as_cfg(cfg)
-        out = self.const_value(tau, cfg.q_order, digits)
+        out = self.const_value(tau, cfg.q_order)
         for n, _ in self.wp_terms:
-            out += self.coeff_value(n, tau, cfg.q_order, digits) * wp_k(n, z, tau, cfg)
+            out += self.coeff_value(n, tau, cfg.q_order) * wp_k(n, z, tau, cfg)
         return out
 
     def coeff_combination(self, n: int) -> dict[Index, Fraction]:
@@ -238,12 +230,12 @@ class ReducedForm:
         return {"wp": {n: flip(t) for n, t in self.wp_terms}, "const": flip(self.const_terms)}
 
 
-def _terms_value(terms, tau, q_order, digits) -> complex:
+def _terms_value(terms, tau, q_order) -> complex:
     out = 0.0 + 0.0j
     for c, idxs in terms:
         v = complex(Fraction(c))
         for ix in idxs:
-            v *= meis_qexp(ix, tau, q_order, digits) if ix.depth else 1.0
+            v *= meis_qexp(ix, tau, q_order) if ix.depth else 1.0
         out += v
     return out
 
@@ -342,8 +334,7 @@ def antipode_residual(r: int, xs, tau: complex,
 # Fourier expansion of the restricted wp at a reflected argument
 # ---------------------------------------------------------------------------
 
-def multiwp_tilde_fourier(index, z: complex, tau: complex, q_order: int = 64,
-                          digits: int = 12) -> complex:
+def multiwp_tilde_fourier(index, z: complex, tau: complex, q_order: int = 64) -> complex:
     """tilde wp_{k_1..k_r}(-z, ..., -z) in the strip 0 < Im z < Im tau via its
     Fourier structure: the m = 0 prefix gives a Hurwitz multiple zeta value and
     each run of positive rows a multitangent Psi_block(z + m tau), so that
@@ -363,8 +354,8 @@ def multiwp_tilde_fourier(index, z: complex, tau: complex, q_order: int = 64,
         return 1.0 + 0.0j
     ix = tuple(index)
     P = _strip_p_matrix(z, tau, index.depth, index.weight, q_order)
-    prefix = [v.value for v in _hurwitz_prefixes(ix, z, digits)]
-    return (-1) ** (index.weight % 2) * _suffix_dp(_amplitude_matrix(ix, digits) @ P, prefix)
+    prefix = [v.value for v in _hurwitz_prefixes(ix, z)]
+    return (-1) ** (index.weight % 2) * _suffix_dp(_amplitude_matrix(ix) @ P, prefix)
 
 
 # ---------------------------------------------------------------------------

@@ -175,11 +175,6 @@ def _g_normal(k: int) -> QuasiModular:
     return _a_sym(k // 2 - 1) / (k - 1)
 
 
-def g_normalized(k: int) -> QuasiModular:
-    """G_k as a polynomial in G_4, G_6 (k even >= 4); G_2 stays itself."""
-    return _g_normal(k)
-
-
 # ---------------------------------------------------------------------------
 # polynomials in wp and wp'
 # ---------------------------------------------------------------------------

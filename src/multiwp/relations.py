@@ -102,8 +102,8 @@ class SymbolicCombination:
             out = {word: _exact(c) for word, c in out.items()}
         return SymbolicCombination._trusted(out, self.weight + u.weight)
 
-    def evaluate(self, tau: complex, q_order: int = 64, digits: int = 12) -> complex:
-        return sum(complex(c) * meis_qexp(ix, tau, q_order, digits)
+    def evaluate(self, tau: complex, q_order: int = 64) -> complex:
+        return sum(complex(c) * meis_qexp(ix, tau, q_order)
                    for ix, c in self.terms.items())
 
     def __repr__(self) -> str:
@@ -312,11 +312,11 @@ def relation_table(max_weight: int = 12, min_weight: int = 2,
 # ---------------------------------------------------------------------------
 
 def combination_residual(comb: SymbolicCombination, tau: complex,
-                         q_order: int = 64, digits: int = 12) -> float:
-    return abs(comb.evaluate(tau, q_order, digits)) if comb else 0.0
+                         q_order: int = 64) -> float:
+    return abs(comb.evaluate(tau, q_order)) if comb else 0.0
 
 
-def mzv_relation_residual(index, digits: int = 12) -> float:
+def mzv_relation_residual(index) -> float:
     """|LHS - RHS| of the two-sided multiple-zeta identity
 
     sum_{i=0}^r (-1)^{k_{i+1}+..+k_r} zeta(k_i..k_1) zeta(k_{i+1}..k_r)
@@ -329,7 +329,7 @@ def mzv_relation_residual(index, digits: int = 12) -> float:
     r, k = index.depth, index.weight
 
     def zv(ix) -> float:
-        return mzv(Index(ix), digits).real
+        return mzv(Index(ix)).real
 
     lhs = 0.0
     for i in range(0, r + 1):
@@ -347,8 +347,7 @@ def mzv_relation_residual(index, digits: int = 12) -> float:
     return abs(lhs - rhs)
 
 
-def eisenstein_relation_residual(index, m: int, tau: complex, q_order: int = 64,
-                                 digits: int = 12) -> float:
+def eisenstein_relation_residual(index, m: int, tau: complex, q_order: int = 64) -> float:
     """|LHS - RHS| of the z^m Taylor-coefficient relation among multiple
     Eisenstein series (m > 0).
 
@@ -365,7 +364,7 @@ def eisenstein_relation_residual(index, m: int, tau: complex, q_order: int = 64,
 
     def gt(ix) -> complex:
         ix = Index(ix)
-        return meis_qexp(ix, tau, q_order, digits) if ix.depth else 1.0
+        return meis_qexp(ix, tau, q_order) if ix.depth else 1.0
 
     lhs = 0.0 + 0.0j
     for i in range(r):

@@ -142,12 +142,11 @@ def suite_table(max_weight: int = 12, min_weight: int = 2) -> list[CheckResult]:
 # criterion 4: multiple-zeta relations
 # ---------------------------------------------------------------------------
 
-def suite_mzv_relations(max_weight: int = 8, tol: float = 1e-6,
-                        digits: int = 12) -> list[CheckResult]:
+def suite_mzv_relations(max_weight: int = 8, tol: float = 1e-6) -> list[CheckResult]:
     out = []
     for ix in admissible_indices(max_weight):
         t0 = time.time()
-        r = relations.mzv_relation_residual(ix, digits)
+        r = relations.mzv_relation_residual(ix)
         out.append(_check(f"mzv relation {tuple(ix)}", r, tol, t0))
     return out
 

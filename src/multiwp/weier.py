@@ -219,15 +219,18 @@ def _wp_k_series(k: int, z0: complex, tau: complex, eps: float = 1e-17) -> compl
 
 
 def _wp_k_rows(k: int, z0: complex, tau: complex, cfg: EvalConfig) -> complex:
-    """Eisenstein-ordered row sums: wp_k(z) = sum_m Psi_k(z - m tau)."""
+    """Eisenstein-ordered row sums: wp_k(z) = sum_m Psi_k(z - m tau), to the
+    first pair of rows below 1e-18 (1 + |sum|); raises ConvergenceError when
+    the cfg.M rows end first."""
     total = _row_sum(z0, cfg.N, k)
     for m in range(1, cfg.M):
         t1 = _row_sum(z0 - m * tau, cfg.N, k)
         t2 = _row_sum(z0 + m * tau, cfg.N, k)
         total += t1 + t2
         if abs(t1) + abs(t2) < 1e-18 * (1 + abs(total)):
-            break
-    return total
+            return total
+    raise ConvergenceError(f"_wp_k_rows: wp_{k} rows at z0 = {z0}, tau = {tau} not "
+                           f"converged in M = {cfg.M} rows")
 
 
 def wp(z: complex, tau: complex, cfg: EvalConfig | None = None) -> complex:
@@ -406,17 +409,6 @@ def f_coeff(r: int) -> QuasiModular:
     tr = partition_trace(beta, X, r - 1)
     tr = QuasiModular.const(tr) if isinstance(tr, (int, Fraction)) else tr
     return (-1) ** (r - 1) * tr
-
-
-@lru_cache(maxsize=None)
-def g_coeff(r: int) -> QuasiModular:
-    """g_r = sum_{t=0}^{r} (-1)^{r-t} (2(r-t)-1) G_{2(r-t)} f_{t+1}, G_0 = -1."""
-    out = QuasiModular()
-    for t in range(0, r + 1):
-        j = r - t
-        Gj = QuasiModular.const(-1) if j == 0 else QuasiModular.gen(2 * j)
-        out = out + (-1) ** j * (2 * j - 1) * Gj * f_coeff(t + 1)
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -50,7 +50,7 @@ def test_criterion_3_stretch_weights_13_16():
 
 def test_criterion_4_mzv_relations():
     t0 = time.time()
-    checks = verify.suite_mzv_relations(max_weight=8, tol=1e-6, digits=12)
+    checks = verify.suite_mzv_relations(max_weight=8, tol=1e-6)
     _report(4, "multiple-zeta relations, weight <= 8", checks, 120, time.time() - t0)
 
 

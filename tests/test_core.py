@@ -6,7 +6,7 @@ import pytest
 from multiwp.core import (EvalConfig, Index, Partition, TruncatedSeries, bernoulli,
                           beta, beta_prime, compositions_fixed, compositions_ge2,
                           couplings, partition_trace,
-                          partitions, phi_log, series_mul, stuffle,
+                          partitions, phi_log, stuffle,
                           stuffle_combination, stuffle_expand)
 from multiwp.weier import phi_exp
 
@@ -180,14 +180,14 @@ def test_compositions_ge2():
 def test_series_arithmetic():
     one = TruncatedSeries([1, 0, 0], var="Y")
     s = TruncatedSeries([2, -1, 3], var="Y")
-    assert series_mul(one, s) == s
+    assert one * s == s
     a = TruncatedSeries([1, 1, 0], var="Y")
     b = TruncatedSeries([1, -1, 0], var="Y")
-    assert series_mul(a, b).coeffs == [1, 0, -1]
+    assert (a * b).coeffs == [1, 0, -1]
     with pytest.raises(ValueError):
-        series_mul(a, TruncatedSeries([1, 0], var="q"))
+        a * TruncatedSeries([1, 0], var="q")
     # truncation to min order
-    assert series_mul(TruncatedSeries([1, 2], var="Y"), s).order == 1
+    assert (TruncatedSeries([1, 2], var="Y") * s).order == 1
 
 
 def test_series_exp_log_roundtrip():

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 from multiwp.core import ConvergenceError, EvalConfig, Index
 from multiwp.qmod import QuasiModular, WpPolynomial
-from multiwp import weier
+from multiwp import meisen, multip, weier
 from multiwp.meisen import QOrderError, meis_direct, meis_qexp
+from multiwp.mzv import _mzv_cached
 from multiwp.multip import (_multivar_split, _tilde_kernel, _tilde_taylor, antipode_residual,
                             fourier_c, modular_transform_check, multiwp22_fourier, multiwp_direct,
                             multiwp_multivar, multiwp_raw, multiwp_reduce, multiwp_tilde,
@@ -63,7 +64,31 @@ def test_tilde_taylor_raises_at_its_order_cap():
     # the loop can only stop at p >= 4, so max_order = 3 must raise
     xs = [0.13 + 0.07j, -0.11 + 0.05j]
     with pytest.raises(ConvergenceError, match=r"\(2, 2\).*last shell size"):
-        _tilde_taylor(Index((2, 2)), xs, TAU, 64, 13, 1e-12, max_order=3)
+        _tilde_taylor(Index((2, 2)), xs, TAU, 64, 1e-12, max_order=3)
+
+
+def test_taylor_route_reuses_the_qexp_caches(monkeypatch):
+    # record the indices the Taylor series visits, then start the tau-free
+    # and tau-keyed tables cold and warm them through meis_qexp alone
+    xs = [0.1 + 0.05j, -0.08 + 0.03j]
+    seen = []
+
+    def record(ix, *args):
+        seen.append(Index(ix))
+        return meis_qexp(ix, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(multip, "meis_qexp", record)
+        multiwp_tilde((2, 3), xs, TAU, CFG, method="taylor")
+    caches = (meisen._meis_qexp_cached, meisen._amplitude_matrix, meisen._block_amplitudes,
+              meisen._prefix_values, _mzv_cached)
+    for cache in caches:
+        cache.cache_clear()
+    for ix in seen:
+        meis_qexp(ix, TAU, CFG.q_order)
+    misses = [c.cache_info().misses for c in caches]
+    multiwp_tilde((2, 3), xs, TAU, CFG, method="taylor")
+    assert [c.cache_info().misses for c in caches] == misses
 
 
 def test_tilde_taylor_coefficients_vs_cauchy():

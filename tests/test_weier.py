@@ -3,10 +3,10 @@ import pytest
 from fractions import Fraction
 
 from multiwp.core import ConvergenceError, EvalConfig
-from multiwp.qmod import QuasiModular, WpPolynomial, g_normalized
+from multiwp.qmod import QuasiModular, WpPolynomial
 from multiwp import weier
-from multiwp.weier import (eisenstein_G, eval_wp_polynomial, f_coeff, g_coeff,
-                           g_hat_coeff, laurent_coefficients, multi_to_deriv_form,
+from multiwp.weier import (eisenstein_G, eval_wp_polynomial, f_coeff, g_hat_coeff,
+                           laurent_coefficients, multi_to_deriv_form,
                            quasi_periods, repeated_index_closed_form, sigma,
                            weier_zeta, wp, wp_deriv_poly, wp_deriv_trace_form,
                            wp_k, wp_prime, wp2_deriv)
@@ -50,10 +50,10 @@ def test_g4_at_i_known_value():
 def test_qmod_normalization():
     # G_10 = (5/11) G_4 G_6; G_12 = (18 G_4^3 + 25 G_6^2)/143
     G4, G6 = QuasiModular.gen(4), QuasiModular.gen(6)
-    assert g_normalized(8) == Fraction(3, 7) * G4 * G4
-    assert g_normalized(10) == Fraction(5, 11) * G4 * G6
-    assert g_normalized(12) == (18 * G4**3 + 25 * G6**2) / 143
-    assert g_normalized(9) == QuasiModular()
+    assert QuasiModular.gen(8).normalize() == Fraction(3, 7) * G4 * G4
+    assert QuasiModular.gen(10).normalize() == Fraction(5, 11) * G4 * G6
+    assert QuasiModular.gen(12).normalize() == (18 * G4**3 + 25 * G6**2) / 143
+    assert QuasiModular.gen(9).normalize() == QuasiModular()
 
 
 def test_sigma_basics():
@@ -200,7 +200,6 @@ def test_repeated_index_coeffs():
     assert f_coeff(1) == QuasiModular.const(1)
     assert f_coeff(2) == G2
     assert f_coeff(3) == (G2 * G2 - G4) / 2
-    assert g_coeff(1) == QuasiModular()
     assert g_hat_coeff(1) == G2
     assert g_hat_coeff(2) == (G2 * G2 + 5 * G4) / 2
     assert g_hat_coeff(3) == G2**3 / 6 + Fraction(5, 2) * G2 * G4 - Fraction(14, 3) * G6
@@ -260,6 +259,16 @@ def test_series_caps_raise():
     z = 0.3 + 2e-4j
     direct = np.sum((z + np.arange(-200000, 200001)) ** -2.0)
     assert abs(weier.lipschitz_psi(2, z) - direct) < 1e-4 * abs(direct)
+
+
+def test_wp_k_rows_cap_raises():
+    # at Im tau = 0.05 the rows decay slowly: 80 rows stop 1.5e-12 short, 400 converge
+    z, tau = 0.3 + 0.02j, 0.1 + 0.05j
+    with pytest.raises(ConvergenceError, match=r"wp_4 rows at z0 = \(0\.3\+0\.02j\), "
+                       r"tau = \(0\.1\+0\.05j\) not converged in M = 80 rows"):
+        wp_k(4, z, tau)
+    v400 = wp_k(4, z, tau, EvalConfig(M=400))
+    assert abs(v400 - wp_k(4, z, tau, EvalConfig(M=600))) < 1e-14 * abs(v400)
 
 
 def test_g_even_qexp_cap_raises_for_this_k():
