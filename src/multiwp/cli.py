@@ -56,7 +56,7 @@ def parse_index(s: str) -> Index:
     return Index(int(p) for p in s.replace(" ", "").split(","))
 
 
-_CONFIG_KEYS = {"M": int, "N": int, "q_order": int, "tol": float}
+_CONFIG_KEYS = {"M": int, "N": int, "tol": float}
 
 
 def load_config(path: str | None, args) -> EvalConfig:
@@ -122,7 +122,7 @@ def cmd_eval(args) -> int:
     if fn == "multiwp":
         val = multip.multiwp_direct(index, z, tau, cfg)
     elif fn == "meis":
-        val = meisen.meis_qexp(index, tau, cfg.q_order)
+        val = meisen.meis_qexp(index, tau)
     elif fn == "meis-direct":
         val, est = meisen.meis_direct_error(index, tau, cfg)
     elif fn == "wpk":
@@ -153,7 +153,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    cfg = load_config(args.config, args)
     index = parse_index(args.index)
     rf = multip.multiwp_reduce(index)
     outputs = []
@@ -162,13 +161,13 @@ def cmd_reduce(args) -> int:
         row = {"wp_n": n,
                "coeff_symbols": " + ".join(f"({c})*Gt{tuple(ix)}" for ix, c in sorted(comb.items()))}
         if args.tau:
-            row["coeff_value"] = _cnum(rf.coeff_value(n, parse_complex(args.tau), cfg.q_order))
+            row["coeff_value"] = _cnum(rf.coeff_value(n, parse_complex(args.tau)))
         outputs.append(row)
     comb = rf.const_combination()
     row = {"wp_n": 0,
            "coeff_symbols": " + ".join(f"({c})*Gt{tuple(ix)}" for ix, c in sorted(comb.items()))}
     if args.tau:
-        row["coeff_value"] = _cnum(rf.const_value(parse_complex(args.tau), cfg.q_order))
+        row["coeff_value"] = _cnum(rf.const_value(parse_complex(args.tau)))
     outputs.append(row)
     report = {"command": "reduce", "inputs": {"index": list(index), "tau": args.tau},
               "outputs": outputs, "residuals": [], "status": "ok"}
@@ -177,14 +176,13 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_qexp(args) -> int:
-    cfg = load_config(args.config, args)
     index = parse_index(args.index)
     tau = parse_complex(args.tau)
-    val = meisen.meis_qexp(index, tau, cfg.q_order)
+    val = meisen.meis_qexp(index, tau)
     const = mzv_value_of(index)
     report = {
         "command": "qexp",
-        "inputs": {"index": list(index), "tau": _cnum(tau), "q_order": cfg.q_order},
+        "inputs": {"index": list(index), "tau": _cnum(tau)},
         "outputs": [{"value": _cnum(val), "constant_term": _cnum(const.value),
                      "constant_term_err": const.err}],
         "residuals": [],
@@ -255,11 +253,10 @@ def _common_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     p.add_argument("--format", choices=["text", "json", "csv"], default=d("text"))
     p.add_argument("--config", default=d(None),
-                   help="key=value config file (M, N, q_order, tol)")
+                   help="key=value config file (M, N, tol)")
     p.add_argument("--seed", type=int, default=d(0))
     p.add_argument("-M", type=int, dest="M", default=d(None))
     p.add_argument("-N", type=int, dest="N", default=d(None))
-    p.add_argument("--q-order", type=int, dest="q_order", default=d(None))
     p.add_argument("--tol", type=float, default=d(None))
 
 

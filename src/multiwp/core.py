@@ -458,7 +458,6 @@ class EvalConfig:
 
     M: int = 80
     N: int = 800
-    q_order: int = 64
     tol: float = 1e-8
 
     def __post_init__(self):

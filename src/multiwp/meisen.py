@@ -31,8 +31,8 @@ import numpy as np
 from .core import EvalConfig, Index, couplings
 from .kernels import lattice_sorted, ordered_sum, ordered_sums
 from .mzv import mzv
-from .weier import (TWO_PI_I, _as_cfg, _check_tau, _lipschitz_amplitude, _row_sum,
-                    lipschitz_psi)
+from .weier import (TWO_PI_I, _as_cfg, _check_method, _check_tau, _lipschitz_amplitude,
+                    _row_sum, lipschitz_psi)
 
 __all__ = [
     "QOrderError", "MultitangentReduction", "monotangent", "multitangent_reduce",
@@ -42,7 +42,7 @@ __all__ = [
 
 
 class QOrderError(ValueError):
-    """q-truncation order too small for the requested tolerance."""
+    """A q-series needs more terms than `_Q_TERMS_CAP` (Im tau too small)."""
 
 
 def _require_admissible(index: Index):
@@ -62,6 +62,7 @@ def monotangent(k: int, z: complex, method: str = "auto", N: int = 2000) -> comp
     """
     if k < 2:
         raise ValueError("monotangent needs k >= 2")
+    _check_method(method, ("auto", "direct", "qexp"))
     z = complex(z)
     if method == "qexp" or (method == "auto" and abs(z.imag) > 0.05):
         if z.imag > 0:
@@ -207,15 +208,18 @@ def _suffix_dp(Q: np.ndarray, prefix) -> complex:
     return complex(np.dot(prefix, R[:, 0]))
 
 
-def _q_terms_needed(ratio: float, depth: int, q_order: int) -> int:
+_Q_TERMS_CAP = 64  # rows m: a 1e-18 tail for Im tau >= 0.106 (depth 1) to 0.116 (depth 6)
+
+
+def _q_terms_needed(ratio: float, depth: int) -> int:
     """The number of rows m a q-series of the given depth needs: depth + 1
     past the point where ratio^m, its largest geometric ratio, falls below
-    1e-18; raises QOrderError when that exceeds q_order."""
+    1e-18; raises QOrderError when that exceeds `_Q_TERMS_CAP`."""
     need = int(np.ceil(log(1e-18) / log(ratio))) + depth + 1
-    if need > q_order:
+    if need > _Q_TERMS_CAP:
         raise QOrderError(
-            f"q_order={q_order} too small: tail ~ {ratio:.3g}^{q_order + 1} = "
-            f"{ratio ** (q_order + 1):.2e} exceeds the target precision; need ~{need}")
+            f"Im tau = {-log(ratio) / (2 * np.pi):.4g} (or Im(tau + z), if smaller, on a "
+            f"strip) needs ~{need} q-terms, above the cap of {_Q_TERMS_CAP}")
     return need
 
 
@@ -248,34 +252,33 @@ def _amplitude_matrix(index: tuple) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _meis_qexp_cached(index: tuple, tau: complex, q_order: int) -> complex:
+def _meis_qexp_cached(index: tuple, tau: complex) -> complex:
     """The suffix DP with block b at Q_b(m) = Psi_b(m tau), from x = q^m, and
     the MZV prefixes."""
     q = complex(np.exp(TWO_PI_I * tau))
-    need = _q_terms_needed(abs(q), len(index), q_order)
-    P = _p_matrix(q ** np.arange(1, need + 1), min(q_order, max(need, 8)), sum(index))
+    need = _q_terms_needed(abs(q), len(index))
+    P = _p_matrix(q ** np.arange(1, need + 1), max(need, 8), sum(index))
     return _suffix_dp(_amplitude_matrix(index) @ P, _prefix_values(index))
 
 
-def meis_qexp(index, tau: complex, q_order: int = 64) -> complex:
+def meis_qexp(index, tau: complex) -> complex:
     """Multiple Eisenstein series via the Fourier / multitangent pipeline.
 
-    Fast and accurate for Im(tau) bounded away from 0; raises QOrderError
-    when q_order cannot reach ~1e-15 relative truncation."""
+    Takes the q-terms its 1e-18 tail needs (`_q_terms_needed`); raises
+    QOrderError past `_Q_TERMS_CAP` of them, i.e. for Im tau below ~0.11."""
     index = Index(index)
     _require_admissible(index)
     tau = _check_tau(tau)
     if index.depth == 0:
         return 1.0 + 0.0j
-    return _meis_qexp_cached(tuple(index), tau, int(q_order))
+    return _meis_qexp_cached(tuple(index), tau)
 
 
 # ---------------------------------------------------------------------------
 # g-functions (positive-m half-lattice sums with free integer parts)
 # ---------------------------------------------------------------------------
 
-def _strip_p_matrix(z: complex, tau: complex, depth: int, nmax: int,
-                    q_order: int) -> np.ndarray:
+def _strip_p_matrix(z: complex, tau: complex, depth: int, nmax: int) -> np.ndarray:
     """`_p_matrix` at x = xi q^m, xi = e^{2 pi i z}, for a strip series of
     the given depth: m runs to mmax = `_q_terms_needed` at the ratio
     max(|xi q|, |q|), and d to 4 mmax.  The d-power table is the cached
@@ -285,11 +288,11 @@ def _strip_p_matrix(z: complex, tau: complex, depth: int, nmax: int,
     xi = complex(np.exp(TWO_PI_I * z))
     if abs(xi * q) >= 1:
         raise ValueError("strip violated: need Im(z) > -Im(tau)")
-    need = _q_terms_needed(max(abs(xi * q), abs(q)), depth, q_order)
+    need = _q_terms_needed(max(abs(xi * q), abs(q)), depth)
     return _p_matrix(xi * q ** np.arange(1, need + 1), 4 * need, nmax)
 
 
-def g_function(index, z: complex, tau: complex, q_order: int = 64) -> complex:
+def g_function(index, z: complex, tau: complex) -> complex:
     """g_{k_1..k_r}(z) = sum over 0<m_1<...<m_r, n_i in Z of
     prod (z + m_i tau + n_i)^{-k_i}, via its xi, q double series: the suffix
     DP with only length-1 blocks, Q_{k_i}(m) = Psi_{k_i}(z + m tau).
@@ -301,7 +304,7 @@ def g_function(index, z: complex, tau: complex, q_order: int = 64) -> complex:
     if index.depth == 0:
         return 1.0 + 0.0j
     r = index.depth
-    P = _strip_p_matrix(complex(z), tau, r, max(index), q_order)
+    P = _strip_p_matrix(complex(z), tau, r, max(index))
     Q = np.zeros((r * (r + 1) // 2, P.shape[1]), dtype=complex)
     for i, k in enumerate(index):  # the block k_{i+1} opens row group i
         Q[(r - i - 1) * (r - i) // 2] = _lipschitz_amplitude(k) * P[k - 2]

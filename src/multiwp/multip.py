@@ -21,7 +21,7 @@ from .kernels import lattice_sorted, ordered_sum, ordered_sums
 from .meisen import (_amplitude_matrix, _require_admissible, _strip_p_matrix, _suffix_dp,
                      _tilde_sweep, g_function, meis_qexp, monotangent, multitangent_reduce)
 from .mzv import _hurwitz_prefixes
-from .weier import TWO_PI_I, _as_cfg, _check_tau, lattice_reduce, wp_k
+from .weier import TWO_PI_I, _as_cfg, _check_method, _check_tau, lattice_reduce, wp_k
 
 __all__ = [
     "multiwp_tilde", "multiwp_direct", "multiwp_raw",
@@ -42,8 +42,7 @@ def _tilde_kernel(index: Index, xs, tau: complex, cfg: EvalConfig) -> list[compl
     return ordered_sum(*_tilde_sweep(index, xs, tau, cfg))
 
 
-def _tilde_taylor(index: Index, xs, tau: complex, q_order: int, tol: float,
-                  max_order: int = 26) -> complex:
+def _tilde_taylor(index: Index, xs, tau: complex, tol: float, max_order: int = 26) -> complex:
     """The Eisenstein Taylor series of the restricted wp, summed shell by shell
     (total order p); stops after two small shells with p >= 4 and raises
     ConvergenceError when max_order comes first."""
@@ -56,7 +55,7 @@ def _tilde_taylor(index: Index, xs, tau: complex, q_order: int, tol: float,
             c = 1.0
             for n_j, k_j, x_j in zip(ns, index, xs):
                 c *= (-1) ** k_j * comb(n_j + k_j - 1, k_j - 1) * complex(x_j) ** n_j
-            gt = meis_qexp(Index(n + k for n, k in zip(ns, index)), tau, q_order)
+            gt = meis_qexp(Index(n + k for n, k in zip(ns, index)), tau)
             shell += c * gt
         total += shell
         small = small + 1 if abs(shell) <= tol * (1.0 + abs(total)) else 0
@@ -73,8 +72,10 @@ def multiwp_tilde(index, xs, tau: complex, cfg: EvalConfig | None = None,
     prod (x_s - w_s)^{-k_s}; depth 0 gives 1.
 
     "direct" uses the truncated ordered lattice kernel; "taylor" the
-    Eisenstein Taylor expansion (small |x_i| only, but far more accurate).
+    Eisenstein Taylor expansion (small |x_i| only, but far more accurate);
+    "auto" the latter at depth <= 3 when it applies and converges.
     """
+    _check_method(method, ("auto", "direct", "taylor"))
     index = Index(index)
     _require_admissible(index)
     tau = _check_tau(tau)
@@ -92,7 +93,11 @@ def multiwp_tilde(index, xs, tau: complex, cfg: EvalConfig | None = None,
     if method == "taylor" or (method == "auto" and small and index.depth <= 3):
         if not small:
             raise ValueError("taylor path needs all |x_i| <= 0.45")
-        return _tilde_taylor(index, xs, tau, cfg.q_order, cfg.tol * 1e-4)
+        try:
+            return _tilde_taylor(index, xs, tau, cfg.tol * 1e-4)
+        except ConvergenceError:
+            if method == "taylor":
+                raise
     return _tilde_kernel(index, xs, tau, cfg)[0]
 
 
@@ -202,19 +207,19 @@ class ReducedForm:
     def wp_map(self) -> dict[int, tuple[Term, ...]]:
         return dict(self.wp_terms)
 
-    def coeff_value(self, n: int, tau: complex, q_order: int = 64) -> complex:
-        return _terms_value(self.wp_map().get(n, ()), tau, q_order)
+    def coeff_value(self, n: int, tau: complex) -> complex:
+        return _terms_value(self.wp_map().get(n, ()), tau)
 
-    def const_value(self, tau: complex, q_order: int = 64) -> complex:
-        return _terms_value(self.const_terms, tau, q_order)
+    def const_value(self, tau: complex) -> complex:
+        return _terms_value(self.const_terms, tau)
 
     def evaluate(self, z: complex, tau: complex, cfg: EvalConfig | None = None) -> complex:
         """sum_n coeff_n(tau) wp_n(z) + const(tau): the coefficients by
-        `meis_qexp` at cfg.q_order, the wp_n by `wp_k` under cfg."""
+        `meis_qexp`, the wp_n by `wp_k` under cfg."""
         cfg = _as_cfg(cfg)
-        out = self.const_value(tau, cfg.q_order)
-        for n, _ in self.wp_terms:
-            out += self.coeff_value(n, tau, cfg.q_order) * wp_k(n, z, tau, cfg)
+        out = _terms_value(self.const_terms, tau)
+        for n, terms in self.wp_terms:
+            out += _terms_value(terms, tau) * wp_k(n, z, tau, cfg)
         return out
 
     def coeff_combination(self, n: int) -> dict[Index, Fraction]:
@@ -230,12 +235,12 @@ class ReducedForm:
         return {"wp": {n: flip(t) for n, t in self.wp_terms}, "const": flip(self.const_terms)}
 
 
-def _terms_value(terms, tau, q_order) -> complex:
+def _terms_value(terms, tau) -> complex:
     out = 0.0 + 0.0j
     for c, idxs in terms:
         v = complex(Fraction(c))
         for ix in idxs:
-            v *= meis_qexp(ix, tau, q_order) if ix.depth else 1.0
+            v *= meis_qexp(ix, tau) if ix.depth else 1.0
         out += v
     return out
 
@@ -334,7 +339,7 @@ def antipode_residual(r: int, xs, tau: complex,
 # Fourier expansion of the restricted wp at a reflected argument
 # ---------------------------------------------------------------------------
 
-def multiwp_tilde_fourier(index, z: complex, tau: complex, q_order: int = 64) -> complex:
+def multiwp_tilde_fourier(index, z: complex, tau: complex) -> complex:
     """tilde wp_{k_1..k_r}(-z, ..., -z) in the strip 0 < Im z < Im tau via its
     Fourier structure: the m = 0 prefix gives a Hurwitz multiple zeta value and
     each run of positive rows a multitangent Psi_block(z + m tau), so that
@@ -353,7 +358,7 @@ def multiwp_tilde_fourier(index, z: complex, tau: complex, q_order: int = 64) ->
     if index.depth == 0:
         return 1.0 + 0.0j
     ix = tuple(index)
-    P = _strip_p_matrix(z, tau, index.depth, index.weight, q_order)
+    P = _strip_p_matrix(z, tau, index.depth, index.weight)
     prefix = [v.value for v in _hurwitz_prefixes(ix, z)]
     return (-1) ** (index.weight % 2) * _suffix_dp(_amplitude_matrix(ix) @ P, prefix)
 
@@ -385,7 +390,7 @@ def fourier_c(r: int, j: int) -> tuple[Fraction, int]:
     return frac, 2 * r - 2 * j
 
 
-def multiwp22_fourier(r: int, z: complex, tau: complex, q_order: int = 64) -> complex:
+def multiwp22_fourier(r: int, z: complex, tau: complex) -> complex:
     """wp_{2,...,2} (r copies) in the strip 0 < Im z < Im tau via g-functions:
 
     sum_{0<=i<=j<=r} c_{r,j} g_{2^i}(z) (g_{2^{j-i}}(-z) + Psi_2(z) g_{2^{j-i-1}}(-z)).
@@ -397,8 +402,8 @@ def multiwp22_fourier(r: int, z: complex, tau: complex, q_order: int = 64) -> co
     if not (0 < z.imag < tau.imag):
         raise ValueError("strip violated: need 0 < Im z < Im tau")
     psi2 = monotangent(2, z, method="qexp")
-    gz = {i: g_function(Index((2,) * i), z, tau, q_order) for i in range(r + 1)}
-    gm = {i: g_function(Index((2,) * i), -z, tau, q_order) for i in range(r + 1)}
+    gz = {i: g_function(Index((2,) * i), z, tau) for i in range(r + 1)}
+    gm = {i: g_function(Index((2,) * i), -z, tau) for i in range(r + 1)}
     total = 0.0 + 0.0j
     for j in range(r + 1):
         frac, e = fourier_c(r, j)

@@ -67,7 +67,7 @@ def _plist_apply(a: int, plist, beta_cap: int):
         for c2, b2 in _em_power_list(a + b):
             if b2 <= beta_cap:
                 out[b2] = out.get(b2, 0.0) + c * c2
-    return sorted(out.items(), key=lambda t: t[0])  # [(beta, coef)] -> fix order below
+    return [(c, b) for b, c in sorted(out.items())]
 
 
 # cutoffs 2*10^4..2*10^5 agree to 1.03e-15 relative (143 admissible indices, weight <= 11)
@@ -157,8 +157,7 @@ def _nested_zeta(index: tuple, shift) -> tuple[MzvValue, ...]:
             tail_list = _em_power_list(k)
             tail_err = 2.0 * abs(_em_power_list(k)[-1][0]) * ax0 ** float(-k - 5)
         else:
-            corr = _plist_apply(k, tail_prev, beta_cap)
-            corr_list = [(c, b) for b, c in corr]
+            corr_list = _plist_apply(k, tail_prev, beta_cap)
             tail = c_prev * head - _plist_eval(corr_list, x0)
             # t_s(n) = c_{s-1} H(k, n) - sum_{m>=n} m^-k t_{s-1}(m)
             tl: dict[int, complex] = {}

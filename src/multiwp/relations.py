@@ -102,8 +102,8 @@ class SymbolicCombination:
             out = {word: _exact(c) for word, c in out.items()}
         return SymbolicCombination._trusted(out, self.weight + u.weight)
 
-    def evaluate(self, tau: complex, q_order: int = 64) -> complex:
-        return sum(complex(c) * meis_qexp(ix, tau, q_order)
+    def evaluate(self, tau: complex) -> complex:
+        return sum(complex(c) * meis_qexp(ix, tau)
                    for ix, c in self.terms.items())
 
     def __repr__(self) -> str:
@@ -291,19 +291,12 @@ def conjectured_rel(weight: int) -> int:
     return len(compositions_ge2(weight)) - conjectured_dim(weight)
 
 
-def relation_table(max_weight: int = 12, min_weight: int = 2,
-                   with_rank: bool = True) -> list[dict]:
+def relation_table(max_weight: int = 12, min_weight: int = 2) -> list[dict]:
     rows = []
     for w in range(min_weight, max_weight + 1):
-        row = {
-            "weight": w,
-            "dim_conj": conjectured_dim(w),
-            "rel_conj": conjectured_rel(w),
-        }
-        if with_rank:
-            row["rel_anti"] = relation_rank(w)
-            row["deficit"] = row["rel_conj"] - row["rel_anti"]
-        rows.append(row)
+        rel_conj, rel_anti = conjectured_rel(w), relation_rank(w)
+        rows.append({"weight": w, "dim_conj": conjectured_dim(w), "rel_conj": rel_conj,
+                     "rel_anti": rel_anti, "deficit": rel_conj - rel_anti})
     return rows
 
 
@@ -311,9 +304,8 @@ def relation_table(max_weight: int = 12, min_weight: int = 2,
 # numeric residuals of the analytic relations
 # ---------------------------------------------------------------------------
 
-def combination_residual(comb: SymbolicCombination, tau: complex,
-                         q_order: int = 64) -> float:
-    return abs(comb.evaluate(tau, q_order)) if comb else 0.0
+def combination_residual(comb: SymbolicCombination, tau: complex) -> float:
+    return abs(comb.evaluate(tau)) if comb else 0.0
 
 
 def mzv_relation_residual(index) -> float:
@@ -347,7 +339,7 @@ def mzv_relation_residual(index) -> float:
     return abs(lhs - rhs)
 
 
-def eisenstein_relation_residual(index, m: int, tau: complex, q_order: int = 64) -> float:
+def eisenstein_relation_residual(index, m: int, tau: complex) -> float:
     """|LHS - RHS| of the z^m Taylor-coefficient relation among multiple
     Eisenstein series (m > 0).
 
@@ -364,7 +356,7 @@ def eisenstein_relation_residual(index, m: int, tau: complex, q_order: int = 64)
 
     def gt(ix) -> complex:
         ix = Index(ix)
-        return meis_qexp(ix, tau, q_order) if ix.depth else 1.0
+        return meis_qexp(ix, tau) if ix.depth else 1.0
 
     lhs = 0.0 + 0.0j
     for i in range(r):

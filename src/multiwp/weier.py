@@ -40,6 +40,11 @@ def _check_tau(tau) -> complex:
     return tau
 
 
+def _check_method(method: str, choices: tuple[str, ...]) -> None:
+    if method not in choices:
+        raise ValueError(f"method must be one of {', '.join(map(repr, choices))}; got {method!r}")
+
+
 def min_lattice_norm(tau: complex) -> float:
     """Length of the shortest nonzero vector of Z*tau + Z."""
     tau = complex(tau)
@@ -113,11 +118,12 @@ def eisenstein_G(k: int, tau: complex, cfg: EvalConfig | None = None,
                  method: str = "auto") -> complex:
     """Eisenstein-ordered G_k(tau); zero for odd k >= 3.
 
-    method: "auto"/"qexp" uses the q-series (small lattice ball for large k),
+    method: "auto" uses the q-series (small lattice ball for large k),
     "lattice" the truncated double sum with Euler-Maclaurin row tails.
     """
     if k < 2:
         raise ValueError("eisenstein_G needs k >= 2")
+    _check_method(method, ("auto", "lattice"))
     tau = _check_tau(tau)
     if method == "lattice":
         return _eisenstein_G_lattice(k, tau, _as_cfg(cfg))
@@ -182,6 +188,7 @@ def wp_k(k: int, z: complex, tau: complex, cfg: EvalConfig | None = None,
     derivative structure; wp_2 = wp + G_2.  Fully periodic, poles on L."""
     if k < 2:
         raise ValueError("wp_k needs k >= 2")
+    _check_method(method, ("auto", "lattice"))
     tau = _check_tau(tau)
     cfg = _as_cfg(cfg)
     z0, _, _ = lattice_reduce(z, tau)
@@ -252,6 +259,7 @@ def sigma(z: complex, tau: complex, cfg: EvalConfig | None = None,
     "product": the truncated Weierstrass product over the (M, N) rectangle;
     "series": the series core without reduction (raises outside its disc).
     """
+    _check_method(method, ("auto", "product", "series"))
     tau = _check_tau(tau)
     cfg = _as_cfg(cfg)
     z = complex(z)
@@ -433,9 +441,7 @@ def multi_to_deriv_form(h: int, r: int) -> WpPolynomial:
     for j in range(1, r + 1):
         c = Fraction((-1) ** (h * j - 1) * h, factorial(h * j))
         X.append(c * wp2_deriv(h * j - 2))
-    tr = partition_trace(phi_exp, X, r)
-    tr = WpPolynomial.const(tr) if isinstance(tr, (int, Fraction)) else tr
-    return (-1) ** r * tr
+    return (-1) ** r * partition_trace(phi_exp, X, r)
 
 
 def repeated_index_closed_form(h: int, r: int) -> WpPolynomial:
@@ -469,15 +475,12 @@ def wp_deriv_trace_form(k: int) -> dict[str, WpPolynomial]:
     if k < 1:
         raise ValueError("k must be >= 1")
     X1 = [(-1) ** (j + 1) * repeated_index_closed_form(2, j) for j in range(1, k + 1)]
-    t1 = partition_trace(phi_log, X1, k)
-    t1 = WpPolynomial.const(t1) if isinstance(t1, (int, Fraction)) else t1
-    form1 = k * factorial(2 * k - 1) * t1
+    form1 = k * factorial(2 * k - 1) * partition_trace(phi_log, X1, k)
 
     X2: list = [WpPolynomial.wp()]
     for j in range(2, k + 1):
         X2.append(WpPolynomial.const(-(2 * j - 1) * QuasiModular.gen(2 * j)))
     t2 = partition_trace(phi_log, X2, k)
-    t2 = WpPolynomial.const(t2) if isinstance(t2, (int, Fraction)) else t2
     form2 = factorial(2 * k - 1) * (WpPolynomial.const(QuasiModular.gen(2 * k)) + k * t2)
     return {"multi_wp": form1, "classical": form2}
 

@@ -130,7 +130,7 @@ def test_console_entrypoint():
 
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "multiwp.cfg"
-    cfg.write_text("# comment\nM = 12\nN = 2000\nq_order=48\ntol=1e-7\n")
+    cfg.write_text("# comment\nM = 12\nN = 2000\ntol=1e-7\n")
     code, out = run_cli(["eval", "--fn", "multiwp", "--index", "2,2",
                          "--z", "0.3+0.2i", "--tau", "i",
                          "--config", str(cfg), "--format", "json"], capsys)
@@ -146,7 +146,7 @@ def test_config_file(tmp_path, capsys):
     assert abs(float(v1) - float(v2)) < 1e-6 and v1 != v2
 
 
-@pytest.mark.parametrize("line", ["q-order=20", "precision=20"])
+@pytest.mark.parametrize("line", ["q-order=20", "precision=20", "q_order=48"])
 def test_config_file_unknown_key_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "multiwp.cfg"
     cfg.write_text(f"M = 12\n{line}\n")
@@ -154,3 +154,10 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys, line):
     assert code == 2
     key = line.partition("=")[0]
     assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+def test_removed_q_order_flag_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["qexp", "--index", "2", "--q-order", "16"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --q-order" in capsys.readouterr().err

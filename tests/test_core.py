@@ -204,7 +204,7 @@ def test_series_exp_log_roundtrip():
 
 def test_eval_config_validation():
     cfg = EvalConfig()
-    assert cfg.M == 80 and cfg.N == 800 and cfg.q_order == 64
+    assert cfg.M == 80 and cfg.N == 800
     assert cfg.refined().M == 160 and cfg.refined().N == 1600
     with pytest.raises(ValueError):
         EvalConfig(M=10, N=5)

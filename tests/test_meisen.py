@@ -173,9 +173,18 @@ def test_meis_dual_pipeline():
 
 def test_meis_qexp_q_order_guard():
     with pytest.raises(QOrderError):
-        meis_qexp((2,), 0.05j, q_order=16)
+        meis_qexp((2,), 0.05j)
     with pytest.raises(ValueError):
         meis_qexp((1, 2), TAU)
+    with pytest.raises(TypeError):  # the q_order parameter is gone
+        meis_qexp((2,), TAU, q_order=64)
+
+
+def test_meis_qexp_q_term_cap_threshold():
+    # depth 4 needs 65 q-terms at Im tau = 0.11 and 60 at 0.12; the cap is 64
+    with pytest.raises(QOrderError, match="needs ~65 q-terms, above the cap of 64"):
+        meis_qexp((2, 2, 2, 2), 0.11j)
+    assert np.isfinite(meis_qexp((2, 2, 2, 2), 0.12j))
 
 
 def _loop_m_dp(pvals):
@@ -200,14 +209,14 @@ def _p_matrix_by_rows(x, dmax, nmax):
     return np.array([(d ** (n - 1)) @ xpow for n in range(2, nmax + 1)])
 
 
-def _meis_qexp_by_splittings(ix, tau, q_order=64):
+def _meis_qexp_by_splittings(ix, tau):
     """Gt by the word splittings: for each splitting and each product of the
     block reductions, one ordered m-sum of monotangent q-series, with the
     truncation of meis_qexp."""
     ix = Index(ix)
     q = complex(np.exp(2j * math.pi * tau))
     need = int(np.ceil(math.log(1e-18) / math.log(abs(q)))) + ix.depth + 1
-    mmax, dmax = min(q_order, need), min(q_order, max(need, 8))
+    mmax, dmax = need, max(need, 8)
     P = _p_matrix_by_rows(q ** np.arange(1, mmax + 1), dmax, ix.weight)
     total = 0.0 + 0.0j
     for sp in word_splittings(ix):
@@ -330,7 +339,7 @@ def test_meis_qexp_tau_free_tables_are_cached(monkeypatch):
         table.cache_clear()
     # the q-order guard fires before any table is built
     with pytest.raises(QOrderError):
-        meis_qexp((2, 3, 2, 4), 0.05j, q_order=16)
+        meis_qexp((2, 3, 2, 4), 0.05j)
     assert calls == {"mzv": 0, "coefficients": 0}
     taus = [0.137 + 1.01j + 0.0173 * k * (1 + 1j) for k in range(20)]
     meis_qexp((2, 3, 2, 4), taus[0])

@@ -64,7 +64,28 @@ def test_tilde_taylor_raises_at_its_order_cap():
     # the loop can only stop at p >= 4, so max_order = 3 must raise
     xs = [0.13 + 0.07j, -0.11 + 0.05j]
     with pytest.raises(ConvergenceError, match=r"\(2, 2\).*last shell size"):
-        _tilde_taylor(Index((2, 2)), xs, TAU, 64, 1e-12, max_order=3)
+        _tilde_taylor(Index((2, 2)), xs, TAU, 1e-12, max_order=3)
+
+
+def test_tilde_auto_falls_back_to_the_kernel():
+    # the Taylor series is still 2e-11 per shell at order 26 here
+    ix, xs = (2, 2, 3), (0.3, 0.3, 0.3)
+    with pytest.raises(ConvergenceError):
+        multiwp_tilde(ix, xs, 1j, method="taylor")
+    assert multiwp_tilde(ix, xs, 1j) == multiwp_tilde(ix, xs, 1j, method="direct")
+
+
+@pytest.mark.parametrize("call, choices", [
+    (lambda m: weier.eisenstein_G(4, TAU, method=m), "'auto', 'lattice'"),
+    (lambda m: weier.wp_k(2, Z, TAU, method=m), "'auto', 'lattice'"),
+    (lambda m: weier.sigma(Z, TAU, method=m), "'auto', 'product', 'series'"),
+    (lambda m: meisen.monotangent(2, Z, method=m), "'auto', 'direct', 'qexp'"),
+    (lambda m: multiwp_tilde((2,), [0.2], TAU, method=m), "'auto', 'direct', 'taylor'"),
+], ids=["eisenstein_G", "wp_k", "sigma", "monotangent", "multiwp_tilde"])
+def test_unknown_method_raises(call, choices):
+    for typo in ("latice", "tylor", "qexp" if "qexp" not in choices else "Auto"):
+        with pytest.raises(ValueError, match=f"one of {choices}; got '{typo}'"):
+            call(typo)
 
 
 def test_taylor_route_reuses_the_qexp_caches(monkeypatch):
@@ -85,7 +106,7 @@ def test_taylor_route_reuses_the_qexp_caches(monkeypatch):
     for cache in caches:
         cache.cache_clear()
     for ix in seen:
-        meis_qexp(ix, TAU, CFG.q_order)
+        meis_qexp(ix, TAU)
     misses = [c.cache_info().misses for c in caches]
     multiwp_tilde((2, 3), xs, TAU, CFG, method="taylor")
     assert [c.cache_info().misses for c in caches] == misses
@@ -247,14 +268,12 @@ def test_reduce_matches_direct_numerically():
         assert abs(got - want) < 1e-6, ix
 
 
-def test_reduced_evaluate_reads_cfg_q_order():
-    # the coefficients take their q-order from cfg, so a q-order too small
-    # for tau fails as it does in meis_qexp
-    cfg = EvalConfig(q_order=16)
-    with pytest.raises(QOrderError, match="q_order=16 too small"):
-        meis_qexp((2, 2), 0.15j, 16)
-    with pytest.raises(QOrderError, match="q_order=16 too small"):
-        multiwp_reduce((2, 2)).evaluate(0.03 + 0.02j, 0.15j, cfg)
+def test_reduced_evaluate_raises_where_meis_qexp_does():
+    # below Im tau = 0.108 no coefficient q-series fits the q-term cap
+    with pytest.raises(QOrderError, match="above the cap of 64"):
+        meis_qexp((2, 2), 0.1j)
+    with pytest.raises(QOrderError, match="above the cap of 64"):
+        multiwp_reduce((2, 2)).evaluate(0.03 + 0.02j, 0.1j, CFG)
 
 
 def test_harmonic_product_numeric():
