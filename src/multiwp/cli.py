@@ -61,20 +61,25 @@ _CONFIG_KEYS = {"M": int, "N": int, "tol": float}
 
 def load_config(path: str | None, args) -> EvalConfig:
     """The EvalConfig from the key=value file at path (if any), each value
-    overridden by its flag; an unknown key is a ValueError."""
+    overridden by its flag; an unknown key or an unreadable file is a
+    ValueError."""
     cfg = {key: getattr(DEFAULT_CONFIG, key) for key in _CONFIG_KEYS}
     if path:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, val = line.partition("=")
-                key = key.strip()
-                if key not in _CONFIG_KEYS:
-                    raise ValueError(f"unknown config key {key!r} in {path}; "
-                                     f"known keys: {', '.join(_CONFIG_KEYS)}")
-                cfg[key] = _CONFIG_KEYS[key](val.strip())
+        try:
+            with open(path) as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise ValueError(f"cannot read config file {path}: {exc.strerror}") from exc
+        for line in lines:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, _, val = line.partition("=")
+            key = key.strip()
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r} in {path}; "
+                                 f"known keys: {', '.join(_CONFIG_KEYS)}")
+            cfg[key] = _CONFIG_KEYS[key](val.strip())
     for key in cfg:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -114,7 +119,7 @@ def _emit(args, report: dict) -> None:
 
 
 def cmd_eval(args) -> int:
-    cfg = load_config(args.config, args)
+    cfg = args.cfg
     index = parse_index(args.index) if args.index else None
     tau = parse_complex(args.tau)
     z = parse_complex(args.z) if args.z else None
@@ -308,6 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        args.cfg = load_config(args.config, args)
         return args.run(args)
     except (ValueError, KeyError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

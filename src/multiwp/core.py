@@ -180,7 +180,9 @@ def _stuffle_words(a: tuple, b: tuple) -> tuple[tuple[Index, int], ...]:
     for word, c in _stuffle_words(a[1:], b[1:]):
         w = (a[0] + b[0],) + word
         out[w] = out.get(w, 0) + c
-    return tuple((Index(w), c) for w, c in sorted(out.items()))
+    # every part is one of a's or b's, which the two leaves above
+    # validate, or a sum of two: wrap the words without validating again
+    return tuple((tuple.__new__(Index, w), c) for w, c in sorted(out.items()))
 
 
 def stuffle(a: Iterable[int], b: Iterable[int]) -> dict[Index, int]:

@@ -296,16 +296,16 @@ class QFactor:
     xs: tuple[complex, ...]
     tau: complex
 
-    def value(self, z: complex, cfg: EvalConfig | None = None,
-              method: str = "taylor") -> complex:
+    def value(self, z: complex, cfg: EvalConfig | None = None) -> complex:
+        """Q_{r,i} at z, each factor by its Eisenstein Taylor series."""
         cfg = _as_cfg(cfg)
         r, i, xs = self.r, self.i, self.xs
         idx1 = Index((2,) * (r - i))
         idx2 = Index((2,) * (i - 1))
         a = multiwp_tilde(idx1, [z - xs[j] for j in range(i, r)], self.tau, cfg,
-                          method=method) if idx1.depth else 1.0
+                          method="taylor") if idx1.depth else 1.0
         b = multiwp_tilde(idx2, [xs[j] - z for j in range(i - 2, -1, -1)], self.tau,
-                          cfg, method=method) if idx2.depth else 1.0
+                          cfg, method="taylor") if idx2.depth else 1.0
         return a * b
 
     def dz(self, z: complex, cfg: EvalConfig | None = None) -> complex:

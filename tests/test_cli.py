@@ -156,6 +156,24 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys, line):
     assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", [["qexp", "--index", "2"], ["table", "--max-weight", "6"]])
+def test_every_subcommand_validates_config(tmp_path, capsys, cmd):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("M = 12\nprecision=20\n")
+    assert main(cmd + ["--config", str(cfg)]) == 2
+    assert "unknown config key 'precision'" in capsys.readouterr().err
+    assert main(cmd + ["--config", str(tmp_path / "missing.cfg")]) == 2
+    assert "missing.cfg" in capsys.readouterr().err
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    code = main(["eval", "--fn", "mzv", "--index", "2",
+                 "--config", str(tmp_path / "missing.cfg")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.cfg" in err
+
+
 def test_removed_q_order_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["qexp", "--index", "2", "--q-order", "16"])

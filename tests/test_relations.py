@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from multiwp.core import Index, compositions_fixed, compositions_ge2, stuffle
+from multiwp.core import (Index, compositions_fixed, compositions_ge2, couplings, stuffle,
+                          stuffle_expand)
 from multiwp.relations import (RelationMatrix, SymbolicCombination, _IntEchelon,
                                _antipode_basis, antipode_relation,
                                combination_residual, conjectured_dim, conjectured_rel,
@@ -266,3 +267,74 @@ def test_relation_rows_span_every_antipode_relation(weight):
     for src in compositions_ge2(weight + 1):  # the skipped mirror sources too
         assert not ech.insert(antipode_relation(src)), src
     assert ech.rank == TABLE[weight][2]
+
+
+def _two_word_expansion(source):
+    """The antipode relation of a source, summed pair by pair from couplings
+    and stuffle."""
+    out = {}
+    for i in range(len(source)):
+        for ns, c in couplings(source, sum(source), i, 1):
+            for word, m in stuffle(ns[:i][::-1], ns[i + 1:]).items():
+                out[word] = out.get(word, 0) + c * m
+    return {word: c for word, c in out.items() if c}
+
+
+def test_antipode_rows_match_two_word_expansion():
+    for k in range(2, 15):
+        for src in compositions_ge2(k):
+            assert antipode_relation(src).terms == _two_word_expansion(src), src
+
+
+def test_stuffle_mul_matches_stuffle_expand():
+    us = [u for uw in range(2, 5) for u in compositions_ge2(uw)]
+    for weight in range(2, 11):
+        for rel in _antipode_basis(weight):
+            for u in us:
+                want = stuffle_expand((c, (u, ix)) for ix, c in rel.terms.items())
+                assert rel.stuffle_mul(u).terms == want, (rel, u)
+
+
+def _fraction_rank(rows) -> int:
+    """Rank of dict rows by Gauss-Jordan elimination over Fractions."""
+    basis = {}  # pivot key -> row with 1 there and 0 at every other pivot key
+    for terms in rows:
+        row = {ix: Fraction(c) for ix, c in terms.items()}
+        for key, piv in basis.items():
+            f = row.get(key, 0)
+            if f:
+                for ix, v in piv.items():
+                    row[ix] = row.get(ix, 0) - f * v
+        row = {ix: v for ix, v in row.items() if v}
+        if not row:
+            continue
+        key = min(row)
+        row = {ix: v / row[key] for ix, v in row.items()}
+        for other in basis.values():
+            f = other.get(key, 0)
+            if f:
+                for ix, v in row.items():
+                    other[ix] = other.get(ix, 0) - f * v
+        basis[key] = row
+    return len(basis)
+
+
+@pytest.mark.parametrize("weight", range(2, 12))
+def test_rank_matches_fraction_gauss_jordan(weight):
+    rows = list(relation_rows(weight))
+    # one row with non-integral coefficients, independent of the others
+    extra = SymbolicCombination({Index((weight,)): Fraction(1, 3)})
+    if rows:
+        extra = extra + rows[-1].scale(Fraction(1, 2))
+    mat = RelationMatrix(weight)
+    for row in rows + [extra]:
+        mat.add(row)
+    assert mat.rank == _fraction_rank(row.terms for row in rows + [extra])
+    assert mat.rank == TABLE[weight][2] + 1
+    # halved rows under a permuted column map
+    basis = compositions_ge2(weight)
+    perm = np.random.default_rng(weight).permutation(len(basis))
+    ech = _IntEchelon({ix: int(perm[i]) for i, ix in enumerate(basis)})
+    for row in rows + [extra]:
+        ech.insert(row.scale(Fraction(1, 2)))
+    assert ech.rank == mat.rank
