@@ -118,12 +118,23 @@ def _emit(args, report: dict) -> None:
         print(row)
 
 
+# the inputs each --fn needs; wpk and eisenstein take a one-part --index
+_EVAL_NEEDS = {"multiwp": ("index", "z"), "meis": ("index",), "meis-direct": ("index",),
+               "wpk": ("index", "z"), "wp": ("z",), "sigma": ("z",), "zeta": ("z",),
+               "eisenstein": ("index",), "mzv": ("index",)}
+
+
 def cmd_eval(args) -> int:
     cfg = args.cfg
+    fn = args.fn
+    for flag in _EVAL_NEEDS[fn]:
+        if not getattr(args, flag):
+            raise ValueError(f"--fn {fn} needs --{flag}")
     index = parse_index(args.index) if args.index else None
+    if fn in ("wpk", "eisenstein") and len(index) != 1:
+        raise ValueError(f"--fn {fn} takes a single part in --index, got {args.index!r}")
     tau = parse_complex(args.tau)
     z = parse_complex(args.z) if args.z else None
-    fn = args.fn
     if fn == "multiwp":
         val = multip.multiwp_direct(index, z, tau, cfg)
     elif fn == "meis":
@@ -135,15 +146,13 @@ def cmd_eval(args) -> int:
     elif fn == "wp":
         val = weier.wp(z, tau, cfg)
     elif fn == "sigma":
-        val = weier.sigma(z, tau, cfg)
+        val = weier.sigma(z, tau)
     elif fn == "zeta":
-        val = weier.weier_zeta(z, tau, cfg)
+        val = weier.weier_zeta(z, tau)
     elif fn == "eisenstein":
-        val = weier.eisenstein_G(index[0], tau, cfg)
-    elif fn == "mzv":
+        val = weier.eisenstein_G(index[0], tau)
+    else:  # mzv
         val = mzv_value_of(index).value
-    else:
-        raise ValueError(f"unknown --fn {fn}")
     report = {
         "command": "eval",
         "inputs": {"fn": fn, "index": list(index) if index else None,

@@ -31,8 +31,8 @@ import numpy as np
 from .core import EvalConfig, Index, couplings
 from .kernels import lattice_sorted, ordered_sum, ordered_sums
 from .mzv import mzv
-from .weier import (TWO_PI_I, _as_cfg, _check_method, _check_tau, _lipschitz_amplitude,
-                    _row_sum, lipschitz_psi)
+from .weier import (TWO_PI_I, _as_cfg, _check_tau, _lipschitz_amplitude, _row_sum,
+                    lipschitz_psi)
 
 __all__ = [
     "QOrderError", "MultitangentReduction", "monotangent", "multitangent_reduce",
@@ -54,23 +54,20 @@ def _require_admissible(index: Index):
 # monotangents and multitangents
 # ---------------------------------------------------------------------------
 
-def monotangent(k: int, z: complex, method: str = "auto", N: int = 2000) -> complex:
+def monotangent(k: int, z: complex) -> complex:
     """Psi_k(z) = sum_{n in Z} (z+n)^-k for k >= 2, z not an integer.
 
-    "direct" uses the symmetric sum with Euler-Maclaurin tails (any z off Z);
-    "qexp" the Lipschitz series (requires Im z != 0).
+    The Lipschitz series `lipschitz_psi` for |Im z| > 0.05 (at -z when
+    Im z < 0), else the row sum `_row_sum` to |n| <= 2000 with EM tails.
     """
     if k < 2:
         raise ValueError("monotangent needs k >= 2")
-    _check_method(method, ("auto", "direct", "qexp"))
     z = complex(z)
-    if method == "qexp" or (method == "auto" and abs(z.imag) > 0.05):
-        if z.imag > 0:
-            return lipschitz_psi(k, z)
-        if z.imag < 0:
-            return (-1) ** k * lipschitz_psi(k, -z)
-        raise ValueError("qexp path needs Im(z) != 0")
-    return _row_sum(z, N + 1, k)
+    if z.imag > 0.05:
+        return lipschitz_psi(k, z)
+    if z.imag < -0.05:
+        return (-1) ** k * lipschitz_psi(k, -z)
+    return _row_sum(z, 2001, k)
 
 
 def multitangent_direct(index, z: complex, N: int = 30000) -> complex:
@@ -98,8 +95,8 @@ class MultitangentReduction:
             out[n] = out.get(n, 0.0) + v
         return out
 
-    def evaluate(self, z: complex, method: str = "auto") -> complex:
-        return sum(c * monotangent(n, z, method) for n, c in self.coefficients().items())
+    def evaluate(self, z: complex) -> complex:
+        return sum(c * monotangent(n, z) for n, c in self.coefficients().items())
 
 
 @lru_cache(maxsize=None)
@@ -313,7 +310,7 @@ def g_function(index, z: complex, tau: complex) -> complex:
 
 def g_function_direct(index, z: complex, tau: complex, mmax: int = 40,
                       N: int = 4000) -> complex:
-    """Direct-sum oracle for g_function (rows via monotangent direct sums)."""
+    """Direct-sum oracle for g_function: rows Psi_k(z + m tau) by `_row_sum` to |n| <= N."""
     index = Index(index)
     _require_admissible(index)
     if index.depth == 0:
@@ -322,7 +319,7 @@ def g_function_direct(index, z: complex, tau: complex, mmax: int = 40,
 
     def row(k, m):
         if (k, m) not in rows:
-            rows[(k, m)] = monotangent(k, z + m * tau, method="direct", N=N)
+            rows[(k, m)] = _row_sum(complex(z + m * tau), N + 1, k)
         return rows[(k, m)]
 
     def rec(i, mprev):

@@ -13,15 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, inf, log
 
 from .core import (ConvergenceError, EvalConfig, Index, compositions_fixed, couplings,
                    stuffle_expand)
 from .kernels import lattice_sorted, ordered_sum, ordered_sums
 from .meisen import (_amplitude_matrix, _require_admissible, _strip_p_matrix, _suffix_dp,
-                     _tilde_sweep, g_function, meis_qexp, monotangent, multitangent_reduce)
+                     _tilde_sweep, g_function, meis_qexp, multitangent_reduce)
 from .mzv import _hurwitz_prefixes
-from .weier import TWO_PI_I, _as_cfg, _check_method, _check_tau, lattice_reduce, wp_k
+from .weier import TWO_PI_I, _as_cfg, _check_tau, lattice_reduce, lipschitz_psi, wp_k
 
 __all__ = [
     "multiwp_tilde", "multiwp_direct", "multiwp_raw",
@@ -43,12 +43,19 @@ def _tilde_kernel(index: Index, xs, tau: complex, cfg: EvalConfig) -> list[compl
 
 
 def _tilde_taylor(index: Index, xs, tau: complex, tol: float, max_order: int = 26) -> complex:
-    """The Eisenstein Taylor series of the restricted wp, summed shell by shell
-    (total order p); stops after two small shells with p >= 4 and raises
-    ConvergenceError when max_order comes first."""
+    """The Eisenstein Taylor series of the restricted wp at |x_i| <= 0.45
+    (else ValueError), summed shell by shell (total order p); stops after two
+    shells in a row below tol (1 + |sum|) with p >= 4.  Raises
+    ConvergenceError at max_order, or once three forecasts in a row from
+    p >= 11 (the shell decay over four orders, carried on geometrically)
+    put the second small shell more than 3 orders past it: shells fall
+    unevenly, so shorter fits drop series that converge in time."""
+    if any(abs(x) > 0.45 for x in xs):
+        raise ValueError("the Taylor series needs all |x_i| <= 0.45")
     r = index.depth
     total = 0.0 + 0.0j
-    small = 0
+    small = late = 0
+    sizes = []
     for p in range(0, max_order + 1):
         shell = 0.0 + 0.0j
         for ns in compositions_fixed(p, r, 0):
@@ -58,24 +65,36 @@ def _tilde_taylor(index: Index, xs, tau: complex, tol: float, max_order: int = 2
             gt = meis_qexp(Index(n + k for n, k in zip(ns, index)), tau)
             shell += c * gt
         total += shell
-        small = small + 1 if abs(shell) <= tol * (1.0 + abs(total)) else 0
+        sizes.append(abs(shell))
+        bound = tol * (1.0 + abs(total))
+        small = small + 1 if sizes[p] <= bound else 0
         if small >= 2 and p >= 4:
             return total
+        if p >= 11 and sizes[p] > bound and sizes[p - 4] > 0:
+            rate = (sizes[p] / sizes[p - 4]) ** 0.25  # per order
+            need = p + 1 + log(bound / sizes[p]) / log(rate) if rate < 1 else inf
+            late = late + 1 if need > max_order + 3 else 0
+            if late >= 3:
+                raise ConvergenceError(
+                    f"restricted wp Taylor series of {tuple(index)} forecast to converge at "
+                    f"order {need:.1f}, past the cap {max_order}: shell size {sizes[p]:.2e} "
+                    f"at order {p}, {sizes[p - 4]:.2e} at {p - 4}, tol {tol:.1e}")
+        else:
+            late = 0
     raise ConvergenceError(
         f"restricted wp Taylor series of {tuple(index)} not converged at order "
         f"{max_order}: last shell size {abs(shell):.2e}, tol {tol:.1e}")
 
 
-def multiwp_tilde(index, xs, tau: complex, cfg: EvalConfig | None = None,
-                  method: str = "auto") -> complex:
+def multiwp_tilde(index, xs, tau: complex, cfg: EvalConfig | None = None) -> complex:
     """Restricted multivariable wp: sum over 0 < w_1 < ... < w_r of
     prod (x_s - w_s)^{-k_s}; depth 0 gives 1.
 
-    "direct" uses the truncated ordered lattice kernel; "taylor" the
-    Eisenstein Taylor expansion (small |x_i| only, but far more accurate);
-    "auto" the latter at depth <= 3 when it applies and converges.
+    At depth <= 3 with every |x_i| <= 0.45 it takes the Eisenstein Taylor
+    series `_tilde_taylor` to cfg.tol * 1e-4 (far more accurate); otherwise,
+    or when that series raises ConvergenceError, the truncated ordered
+    lattice kernel `_tilde_kernel` under cfg.
     """
-    _check_method(method, ("auto", "direct", "taylor"))
     index = Index(index)
     _require_admissible(index)
     tau = _check_tau(tau)
@@ -89,15 +108,11 @@ def multiwp_tilde(index, xs, tau: complex, cfg: EvalConfig | None = None,
             raise ZeroDivisionError("restricted wp pole: argument on the positive lattice")
     if index.depth == 0:
         return 1.0 + 0.0j
-    small = all(abs(x) <= 0.45 for x in xs)
-    if method == "taylor" or (method == "auto" and small and index.depth <= 3):
-        if not small:
-            raise ValueError("taylor path needs all |x_i| <= 0.45")
+    if index.depth <= 3 and all(abs(x) <= 0.45 for x in xs):
         try:
             return _tilde_taylor(index, xs, tau, cfg.tol * 1e-4)
         except ConvergenceError:
-            if method == "taylor":
-                raise
+            pass
     return _tilde_kernel(index, xs, tau, cfg)[0]
 
 
@@ -297,15 +312,14 @@ class QFactor:
     tau: complex
 
     def value(self, z: complex, cfg: EvalConfig | None = None) -> complex:
-        """Q_{r,i} at z, each factor by its Eisenstein Taylor series."""
-        cfg = _as_cfg(cfg)
+        """Q_{r,i} at z, each factor by `_tilde_taylor` to cfg.tol * 1e-4, with
+        its ValueError (some |x| > 0.45) and ConvergenceError."""
+        tol = _as_cfg(cfg).tol * 1e-4
         r, i, xs = self.r, self.i, self.xs
-        idx1 = Index((2,) * (r - i))
-        idx2 = Index((2,) * (i - 1))
-        a = multiwp_tilde(idx1, [z - xs[j] for j in range(i, r)], self.tau, cfg,
-                          method="taylor") if idx1.depth else 1.0
-        b = multiwp_tilde(idx2, [xs[j] - z for j in range(i - 2, -1, -1)], self.tau,
-                          cfg, method="taylor") if idx2.depth else 1.0
+        a = _tilde_taylor(Index((2,) * (r - i)), [z - xs[j] for j in range(i, r)],
+                          self.tau, tol) if r > i else 1.0
+        b = _tilde_taylor(Index((2,) * (i - 1)), [xs[j] - z for j in range(i - 2, -1, -1)],
+                          self.tau, tol) if i > 1 else 1.0
         return a * b
 
     def dz(self, z: complex, cfg: EvalConfig | None = None) -> complex:
@@ -340,21 +354,22 @@ def antipode_residual(r: int, xs, tau: complex,
 # ---------------------------------------------------------------------------
 
 def multiwp_tilde_fourier(index, z: complex, tau: complex) -> complex:
-    """tilde wp_{k_1..k_r}(-z, ..., -z) in the strip 0 < Im z < Im tau via its
+    """tilde wp_{k_1..k_r}(-z, ..., -z) in the strip -Im tau < Im z < Im tau via its
     Fourier structure: the m = 0 prefix gives a Hurwitz multiple zeta value and
     each run of positive rows a multitangent Psi_block(z + m tau), so that
 
         (-1)^k sum over splittings  zeta^(z)(prefix) *
             sum over 0 < m_1 < ... < m_h  prod Psi_block_i(z + m_i tau),
 
-    the suffix DP of `meisen` at x = xi q^m with Hurwitz prefixes.
+    the suffix DP of `meisen` at x = xi q^m with Hurwitz prefixes.  The rows
+    m >= 1 need Im(z + m tau) > 0 and the prefix no strip at all.
     """
     index = Index(index)
     _require_admissible(index)
     tau = _check_tau(tau)
     z = complex(z)
-    if not (0 < z.imag < tau.imag):
-        raise ValueError("strip violated: need 0 < Im z < Im tau")
+    if not (-tau.imag < z.imag < tau.imag):
+        raise ValueError("strip violated: need -Im tau < Im z < Im tau")
     if index.depth == 0:
         return 1.0 + 0.0j
     ix = tuple(index)
@@ -401,7 +416,7 @@ def multiwp22_fourier(r: int, z: complex, tau: complex) -> complex:
     z = complex(z)
     if not (0 < z.imag < tau.imag):
         raise ValueError("strip violated: need 0 < Im z < Im tau")
-    psi2 = monotangent(2, z, method="qexp")
+    psi2 = lipschitz_psi(2, z)
     gz = {i: g_function(Index((2,) * i), z, tau) for i in range(r + 1)}
     gm = {i: g_function(Index((2,) * i), -z, tau) for i in range(r + 1)}
     total = 0.0 + 0.0j

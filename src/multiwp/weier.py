@@ -40,11 +40,6 @@ def _check_tau(tau) -> complex:
     return tau
 
 
-def _check_method(method: str, choices: tuple[str, ...]) -> None:
-    if method not in choices:
-        raise ValueError(f"method must be one of {', '.join(map(repr, choices))}; got {method!r}")
-
-
 def min_lattice_norm(tau: complex) -> float:
     """Length of the shortest nonzero vector of Z*tau + Z."""
     tau = complex(tau)
@@ -114,19 +109,13 @@ def _g_ball(k: int, tau: complex, B: int = 18) -> complex:
     return complex(np.sum(w ** float(-k)))
 
 
-def eisenstein_G(k: int, tau: complex, cfg: EvalConfig | None = None,
-                 method: str = "auto") -> complex:
-    """Eisenstein-ordered G_k(tau); zero for odd k >= 3.
-
-    method: "auto" uses the q-series (small lattice ball for large k),
-    "lattice" the truncated double sum with Euler-Maclaurin row tails.
-    """
+def eisenstein_G(k: int, tau: complex) -> complex:
+    """Eisenstein-ordered G_k(tau); zero for odd k >= 3.  The q-series for
+    k <= 40, a small lattice ball above; `_eisenstein_G_lattice` is the
+    truncated double sum that the tests check both against."""
     if k < 2:
         raise ValueError("eisenstein_G needs k >= 2")
-    _check_method(method, ("auto", "lattice"))
     tau = _check_tau(tau)
-    if method == "lattice":
-        return _eisenstein_G_lattice(k, tau, _as_cfg(cfg))
     if k % 2 == 1:
         return 0.0 + 0.0j
     return _g_even(k, tau)
@@ -149,6 +138,7 @@ def _row_sum(x: complex, N: int, k: int) -> complex:
 
 
 def _eisenstein_G_lattice(k: int, tau: complex, cfg: EvalConfig) -> complex:
+    """G_k(tau) by the truncated double sum, rows with Euler-Maclaurin tails."""
     total = 0.0 + 0.0j
     # m = 0 row: n != 0
     n = np.arange(1, cfg.N, dtype=float)
@@ -182,24 +172,19 @@ def lipschitz_psi(k: int, x: complex) -> complex:
 # wp_k, wp, sigma, zeta
 # ---------------------------------------------------------------------------
 
-def wp_k(k: int, z: complex, tau: complex, cfg: EvalConfig | None = None,
-         method: str = "auto") -> complex:
+def wp_k(k: int, z: complex, tau: complex, cfg: EvalConfig | None = None) -> complex:
     """wp_k(z; tau): 1/z^k plus the (-1)^k/(k-1)! normalized (k-2)-th
-    derivative structure; wp_2 = wp + G_2.  Fully periodic, poles on L."""
+    derivative structure; wp_2 = wp + G_2.  Fully periodic, poles on L.  The
+    Taylor series for |z0| <= 0.72 rmin, else the row sums `_wp_k_rows`."""
     if k < 2:
         raise ValueError("wp_k needs k >= 2")
-    _check_method(method, ("auto", "lattice"))
     tau = _check_tau(tau)
-    cfg = _as_cfg(cfg)
     z0, _, _ = lattice_reduce(z, tau)
     if z0 == 0:
         raise ZeroDivisionError("wp_k pole: z is a lattice point")
-    if method == "lattice":
-        return _wp_k_rows(k, z0, tau, cfg)
-    rmin = min_lattice_norm(tau)
-    if abs(z0) <= 0.72 * rmin:
+    if abs(z0) <= 0.72 * min_lattice_norm(tau):
         return _wp_k_series(k, z0, tau)
-    return _wp_k_rows(k, z0, tau, cfg)
+    return _wp_k_rows(k, z0, tau, _as_cfg(cfg))
 
 
 def _capped_series(terms, eps: float, what: str) -> complex:
@@ -250,26 +235,15 @@ def wp_prime(z: complex, tau: complex, cfg: EvalConfig | None = None) -> complex
     return -2.0 * wp_k(3, z, tau, cfg)
 
 
-def sigma(z: complex, tau: complex, cfg: EvalConfig | None = None,
-          method: str = "auto") -> complex:
+def sigma(z: complex, tau: complex) -> complex:
     """Modified Weierstrass sigma; sigma(0) = 0, odd, entire.
 
-    "auto": quasi-period reduction plus the exponential-of-series core (with
-    recursive halving sigma(2u) = -wp'(u) sigma(u)^4 outside its disc);
-    "product": the truncated Weierstrass product over the (M, N) rectangle;
-    "series": the series core without reduction (raises outside its disc).
+    Quasi-period reduction plus the exponential-of-series core, with
+    recursive halving sigma(2u) = -wp'(u) sigma(u)^4 outside its disc;
+    `_sigma_product` is the truncated Weierstrass product the tests check
+    it against.
     """
-    _check_method(method, ("auto", "product", "series"))
     tau = _check_tau(tau)
-    cfg = _as_cfg(cfg)
-    z = complex(z)
-    if method == "product":
-        return _sigma_product(z, tau, cfg)
-    if method == "series":
-        rmin = min_lattice_norm(tau)
-        if abs(z) > 0.8 * rmin:
-            raise ValueError("series form of sigma requested outside its disc")
-        return _sigma_core(z, tau, rmin)
     z0, a, b = lattice_reduce(z, tau)
     rmin = min_lattice_norm(tau)
     if a == 0 and b == 0:
@@ -291,6 +265,7 @@ def _sigma_core(z0: complex, tau: complex, rmin: float) -> complex:
 
 
 def _sigma_product(z: complex, tau: complex, cfg: EvalConfig) -> complex:
+    """The truncated Weierstrass product over the (M, N) rectangle."""
     from .kernels import lattice_sorted
 
     w, pos0 = lattice_sorted(tau, cfg.M, cfg.N)
@@ -300,7 +275,7 @@ def _sigma_product(z: complex, tau: complex, cfg: EvalConfig) -> complex:
     return z * np.exp(-0.5 * g2 * z * z + complex(np.sum(logs)))
 
 
-def weier_zeta(z: complex, tau: complex, cfg: EvalConfig | None = None) -> complex:
+def weier_zeta(z: complex, tau: complex) -> complex:
     """Modified Weierstrass zeta = sigma'/sigma, Laurent 1/z - sum G_{n+2} z^{n+1}."""
     tau = _check_tau(tau)
     z0, a, b = lattice_reduce(z, tau)
@@ -323,12 +298,12 @@ def _zeta_core(z0: complex, tau: complex, rmin: float) -> complex:
     return 1.0 / z0 - _capped_series(terms, 1e-18, f"_zeta_core: zeta series at z0 = {z0}")
 
 
-def quasi_periods(tau: complex, cfg: EvalConfig | None = None) -> tuple[complex, complex]:
+def quasi_periods(tau: complex) -> tuple[complex, complex]:
     """(eta_1, eta_tau) computed honestly as zeta differences."""
     tau = _check_tau(tau)
     z = -0.25 - 0.15j + 0.1 * tau
-    eta1 = weier_zeta(z + 1, tau, cfg) - weier_zeta(z, tau, cfg)
-    etat = weier_zeta(z + tau, tau, cfg) - weier_zeta(z, tau, cfg)
+    eta1 = weier_zeta(z + 1, tau) - weier_zeta(z, tau)
+    etat = weier_zeta(z + tau, tau) - weier_zeta(z, tau)
     return eta1, etat
 
 
@@ -485,13 +460,13 @@ def wp_deriv_trace_form(k: int) -> dict[str, WpPolynomial]:
     return {"multi_wp": form1, "classical": form2}
 
 
-def g_value_fn(tau: complex, cfg: EvalConfig | None = None):
+def g_value_fn(tau: complex):
     """Evaluator for QuasiModular generators at tau."""
     def g(k: int) -> complex:
-        return eisenstein_G(k, tau, cfg)
+        return eisenstein_G(k, tau)
     return g
 
 
 def eval_wp_polynomial(p: WpPolynomial, z: complex, tau: complex,
                        cfg: EvalConfig | None = None) -> complex:
-    return p.evaluate(wp(z, tau, cfg), wp_prime(z, tau, cfg), g_value_fn(tau, cfg))
+    return p.evaluate(wp(z, tau, cfg), wp_prime(z, tau, cfg), g_value_fn(tau))

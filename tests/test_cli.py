@@ -108,6 +108,23 @@ def test_bad_arguments_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--fn", "wpk", "--z", "0.3"], "--fn wpk needs --index"),
+    (["--fn", "multiwp", "--z", "0.3"], "--fn multiwp needs --index"),
+    (["--fn", "eisenstein"], "--fn eisenstein needs --index"),
+    (["--fn", "mzv"], "--fn mzv needs --index"),
+    (["--fn", "meis"], "--fn meis needs --index"),
+    (["--fn", "wp"], "--fn wp needs --z"),
+    (["--fn", "multiwp", "--index", "2,2"], "--fn multiwp needs --z"),
+    (["--fn", "wpk", "--index", "2,3", "--z", "0.3"], "--fn wpk takes a single part"),
+    (["--fn", "eisenstein", "--index", "4,6"], "--fn eisenstein takes a single part"),
+])
+def test_eval_missing_input_exits_2(capsys, args, message):
+    assert main(["eval"] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_seeded_determinism(capsys):
     args = ["verify", "--suite", "repeated-index", "--seed", "11", "--format", "json"]
     _, out1 = run_cli(args, capsys)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from multiwp.core import ConvergenceError, EvalConfig, Index
+from multiwp.core import DEFAULT_CONFIG, ConvergenceError, EvalConfig, Index
 from multiwp.qmod import QuasiModular, WpPolynomial
 from multiwp import meisen, multip, weier
 from multiwp.meisen import QOrderError, meis_direct, meis_qexp
@@ -54,8 +54,8 @@ def test_pole_guard():
 
 def test_tilde_taylor_matches_kernel():
     xs = [0.13 + 0.07j, -0.11 + 0.05j]
-    vt = multiwp_tilde((2, 2), xs, TAU, CFG, method="taylor")
-    vk = multiwp_tilde((2, 2), xs, TAU, EvalConfig(M=12, N=24000), method="direct")
+    vt = _tilde_taylor(Index((2, 2)), xs, TAU, CFG.tol * 1e-4)
+    vk = _tilde_kernel(Index((2, 2)), xs, TAU, EvalConfig(M=12, N=24000))[0]
     assert abs(vt - vk) < 1e-7
     assert multiwp_tilde((), [], TAU, CFG) == 1.0
 
@@ -68,24 +68,33 @@ def test_tilde_taylor_raises_at_its_order_cap():
 
 
 def test_tilde_auto_falls_back_to_the_kernel():
-    # the Taylor series is still 2e-11 per shell at order 26 here
-    ix, xs = (2, 2, 3), (0.3, 0.3, 0.3)
+    # the Taylor series would need about order 29 here, past its cap of 26
+    ix, xs = Index((2, 2, 3)), (0.3, 0.3, 0.3)
     with pytest.raises(ConvergenceError):
-        multiwp_tilde(ix, xs, 1j, method="taylor")
-    assert multiwp_tilde(ix, xs, 1j) == multiwp_tilde(ix, xs, 1j, method="direct")
+        _tilde_taylor(ix, xs, 1j, DEFAULT_CONFIG.tol * 1e-4)
+    assert multiwp_tilde(ix, xs, 1j) == _tilde_kernel(ix, xs, 1j, DEFAULT_CONFIG)[0]
 
 
-@pytest.mark.parametrize("call, choices", [
-    (lambda m: weier.eisenstein_G(4, TAU, method=m), "'auto', 'lattice'"),
-    (lambda m: weier.wp_k(2, Z, TAU, method=m), "'auto', 'lattice'"),
-    (lambda m: weier.sigma(Z, TAU, method=m), "'auto', 'product', 'series'"),
-    (lambda m: meisen.monotangent(2, Z, method=m), "'auto', 'direct', 'qexp'"),
-    (lambda m: multiwp_tilde((2,), [0.2], TAU, method=m), "'auto', 'direct', 'taylor'"),
-], ids=["eisenstein_G", "wp_k", "sigma", "monotangent", "multiwp_tilde"])
-def test_unknown_method_raises(call, choices):
-    for typo in ("latice", "tylor", "qexp" if "qexp" not in choices else "Auto"):
-        with pytest.raises(ValueError, match=f"one of {choices}; got '{typo}'"):
-            call(typo)
+@pytest.mark.parametrize("call", [
+    lambda: weier.eisenstein_G(4, TAU, method="auto"),
+    lambda: weier.eisenstein_G(4, TAU, cfg=CFG),
+    lambda: weier.wp_k(2, Z, TAU, method="auto"),
+    lambda: weier.sigma(Z, TAU, method="auto"),
+    lambda: weier.sigma(Z, TAU, cfg=CFG),
+    lambda: weier.weier_zeta(Z, TAU, cfg=CFG),
+    lambda: weier.quasi_periods(TAU, cfg=CFG),
+    lambda: weier.g_value_fn(TAU, cfg=CFG),
+    lambda: meisen.monotangent(2, Z, method="auto"),
+    lambda: meisen.monotangent(2, Z, N=2000),
+    lambda: meisen.multitangent_reduce((2, 3)).evaluate(Z, method="auto"),
+    lambda: multiwp_tilde((2,), [0.2], TAU, method="auto"),
+], ids=["eisenstein_G-method", "eisenstein_G-cfg", "wp_k-method", "sigma-method",
+        "sigma-cfg", "weier_zeta-cfg", "quasi_periods-cfg", "g_value_fn-cfg",
+        "monotangent-method", "monotangent-N", "MultitangentReduction.evaluate-method",
+        "multiwp_tilde-method"])
+def test_removed_parameters_raise_type_error(call):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        call()
 
 
 def test_taylor_route_reuses_the_qexp_caches(monkeypatch):
@@ -100,7 +109,7 @@ def test_taylor_route_reuses_the_qexp_caches(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(multip, "meis_qexp", record)
-        multiwp_tilde((2, 3), xs, TAU, CFG, method="taylor")
+        _tilde_taylor(Index((2, 3)), xs, TAU, CFG.tol * 1e-4)
     caches = (meisen._meis_qexp_cached, meisen._amplitude_matrix, meisen._block_amplitudes,
               meisen._prefix_values, _mzv_cached)
     for cache in caches:
@@ -108,13 +117,13 @@ def test_taylor_route_reuses_the_qexp_caches(monkeypatch):
     for ix in seen:
         meis_qexp(ix, TAU)
     misses = [c.cache_info().misses for c in caches]
-    multiwp_tilde((2, 3), xs, TAU, CFG, method="taylor")
+    _tilde_taylor(Index((2, 3)), xs, TAU, CFG.tol * 1e-4)
     assert [c.cache_info().misses for c in caches] == misses
 
 
 def test_tilde_taylor_coefficients_vs_cauchy():
     # series coefficients (n+1) Gt_{n+2} against Cauchy extraction, n <= 3
-    f = lambda x: multiwp_tilde((2,), [x], TAU, EvalConfig(M=24, N=20000), method="direct")
+    f = lambda x: _tilde_kernel(Index((2,)), [x], TAU, EvalConfig(M=24, N=20000))[0]
     coeffs = weier.laurent_coefficients(f, [0, 1, 2, 3], 0.2)
     for n in range(4):
         want = (n + 1) * meis_qexp((n + 2,), TAU)
@@ -128,8 +137,8 @@ def test_tilde_22_constant_term():
     acc = 0.0
     for t1 in th:
         for t2 in th:
-            acc += multiwp_tilde((2, 2), [rad * np.exp(1j * t1), rad * np.exp(1j * t2)],
-                                 TAU, CFG, method="taylor")
+            acc += _tilde_taylor(Index((2, 2)), [rad * np.exp(1j * t1), rad * np.exp(1j * t2)],
+                                 TAU, CFG.tol * 1e-4)
     acc /= Q * Q
     assert abs(acc - meis_direct((2, 2), TAU, EvalConfig(M=24, N=12000))) < 1e-6
 
@@ -370,16 +379,17 @@ def test_qfactor_degenerate_and_pole_guard():
     q1 = QFactor(2, 1, xs, TAU)
     # Q_{2,1} is a single tilde factor: tilde_2(z - x_2)
     z = 0.02 + 0.01j
-    want = multiwp_tilde((2,), [z - xs[1]], TAU, CFG, method="taylor")
+    want = _tilde_taylor(Index((2,)), [z - xs[1]], TAU, CFG.tol * 1e-4)
     assert abs(q1.value(z, CFG) - want) < 1e-12
+    with pytest.raises(ValueError, match="needs all"):  # |z - x_2| = 0.9 > 0.45
+        QFactor(2, 1, (0.1, 0.9), TAU).value(0.0, CFG)
     with pytest.raises(ZeroDivisionError):
         multiwp_tilde((2,), [1.0 + 0j], TAU, CFG)
     with pytest.raises(ZeroDivisionError):
         multiwp_tilde((2,), [complex(TAU)], TAU, CFG)
     # arguments at 0 or on the non-positive part of the lattice are regular
-    assert np.isfinite(multiwp_tilde((2,), [0.0], TAU, CFG, method="direct").real)
-    assert np.isfinite(multiwp_tilde((2,), [-1.0 + 0j], TAU,
-                                     EvalConfig(M=12, N=4000), method="direct").real)
+    assert np.isfinite(multiwp_tilde((2,), [0.0], TAU, CFG).real)
+    assert np.isfinite(multiwp_tilde((2,), [-1.0 + 0j], TAU, EvalConfig(M=12, N=4000)).real)
 
 
 def test_closed_form_argument_errors():
@@ -396,8 +406,17 @@ def test_tilde_fourier_spot_check():
         vf = multiwp_tilde_fourier(ix, z, TAU)
         vk = _tilde_kernel(Index(ix), [-z] * len(ix), TAU, EvalConfig(M=16, N=24000))[0]
         assert abs(vf - vk) < 1e-7, ix
-    with pytest.raises(ValueError):
-        multiwp_tilde_fourier((2,), 0.2 - 0.4j, TAU)
+    # at Im z <= 0 the kernel carries a 1/N error (5e-4 at Im z = -1.5), so the
+    # reference is its Richardson extrapolation 2 K(2N) - K(N)
+    for z in (0.23 - 0.6j, 0.31, 0.23 - 1.5j):
+        for ix in [(2,), (3,), (2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2)]:
+            vf = multiwp_tilde_fourier(ix, z, TAU)
+            k1, k2 = (_tilde_kernel(Index(ix), [-z] * len(ix), TAU, EvalConfig(M=16, N=n))[0]
+                      for n in (24000, 48000))
+            assert abs(vf - (2 * k2 - k1)) < 1e-7, (z, ix)
+    for z in (0.2 - 2j, 0.2 - 2.5j, 0.2 + 2j, 0.2 + 2.5j):  # outside -Im tau < Im z < Im tau
+        with pytest.raises(ValueError, match="strip violated"):
+            multiwp_tilde_fourier((2,), z, TAU)
 
 
 def test_tilde_fourier_depth_3_and_4():

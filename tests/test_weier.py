@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from multiwp.core import ConvergenceError, EvalConfig
+from multiwp.core import DEFAULT_CONFIG, ConvergenceError, EvalConfig
 from multiwp.qmod import QuasiModular, WpPolynomial
 from multiwp import weier
 from multiwp.weier import (eisenstein_G, eval_wp_polynomial, f_coeff, g_hat_coeff,
@@ -30,7 +30,7 @@ def test_eisenstein_fast_vs_lattice():
     for tau in (1j, 0.3 + 1.1j):
         for k in range(2, 41, 2):
             fast = eisenstein_G(k, tau)
-            slow = eisenstein_G(k, tau, cfg, method="lattice")
+            slow = weier._eisenstein_G_lattice(k, tau, cfg)
             assert abs(fast - slow) < 1e-8 * (1 + abs(fast)), (k, tau)
 
 
@@ -61,18 +61,16 @@ def test_sigma_basics():
     for z in (Z, 0.1 - 0.3j, 0.7 + 0.9j):
         assert abs(sigma(-z, TAU) + sigma(z, TAU)) < 1e-12 * (1 + abs(sigma(z, TAU)))
     # dual formula cross-check
-    s1 = sigma(0.3, 1j, method="product")
+    s1 = weier._sigma_product(0.3 + 0j, 1j, DEFAULT_CONFIG)
     s2 = sigma(0.3, 1j)
     assert abs(s1 - s2) < 1e-8
-    with pytest.raises(ValueError):
-        sigma(1.4, 1j, method="series")
 
 
 def test_sigma_quasi_periodicity_consistency():
     # sigma at a large argument agrees with the direct product form
     zb = 1.7 + 2.3j
     cfg = EvalConfig(M=160, N=1600)
-    rel = abs(sigma(zb, TAU, cfg, method="product") - sigma(zb, TAU)) / abs(sigma(zb, TAU))
+    rel = abs(weier._sigma_product(zb, TAU, cfg) - sigma(zb, TAU)) / abs(sigma(zb, TAU))
     assert rel < 2e-6
 
 
@@ -98,7 +96,7 @@ def test_wp_k_basics():
         assert abs(wp_k(3, z, TAU) + 0.5 * wp_prime(z, TAU)) < 1e-12
     # lattice-sum oracle
     v1 = wp_k(4, 0.4, 1j)
-    v2 = wp_k(4, 0.4, 1j, EvalConfig(M=40, N=4000), method="lattice")
+    v2 = weier._wp_k_rows(4, 0.4 + 0j, 1j, EvalConfig(M=40, N=4000))
     assert abs(v1 - v2) < 1e-10
     # periodicity through the quasi-period reduction
     assert abs(wp_k(2, Z + 3 + 2 * TAU, TAU) - wp_k(2, Z, TAU)) < 1e-12
