@@ -3,7 +3,9 @@
 One vectorized numpy kernel sweeps the lattice backward once and returns the
 ordered sums of all r suffixes of its (shifts, exponents) chain, so callers
 that need every prefix and suffix factor of a chain need one sweep per
-orientation; independent sweeps run concurrently through ``ordered_sums``.
+orientation.  The same sweep serves nested sub-regions at once (the N, 2N
+and 4N truncations of a Richardson step), and independent sweeps run
+concurrently through ``ordered_sums``.
 
 Summation region and order
 --------------------------
@@ -34,26 +36,34 @@ reciprocal 1/(z - w) per distinct shift z of the call (every slot of a
 by k - 1 products as the left fold ((inv*inv)*inv)..., shared by all slots
 with that shift and exponent, and under the split one 1/(V_r - 1), which
 serves both the split term -1/((V_r - 1) V_r^2) = inv_r^2 * (-1/(V_r - 1))
-and the row remainder -1/(V_r - 1) added after slot r-2.  Then slots r-1 ... 0
-run over the block: each multiplies its powers against the previous slot's
-suffix sums shifted by one point, and takes its running sum.
+and the row remainder -1/(V_r - 1) added after slot r-2.  Then each
+sub-region (``levels``; by default the one region) runs slots r-1 ... 0 over
+its own points of the block, one stretch of consecutive positions at a time:
+each slot multiplies its powers against the previous slot's suffix sums
+shifted by one point of that sub-region, and takes its running sum.  A
+smaller truncation of the same lattice is a set of such stretches, one per
+row (`positive_runs`), so the tables of the largest serve all of them.
 
-Between blocks each slot carries its last suffix sum.  The work arrays hold
-one point more than a block, in front: there the running sum of slot s
-starts from its carry, and slot s-1's shifted product takes slot s's carry
-as its first factor, in the same vectorized multiply as the rest.  No
-product is written over one of its factors (numpy rounds such a product
-differently when it has one element).  So every product and every addition
-is the one a single cumsum over the whole region would make, in the same
-order: the result does not depend on the block size, and ``out[s]`` is
-``==`` the call on that suffix alone.  No memory of the region's size is
-allocated, and no array outlives the call.
+Between stretches each sub-region carries, per slot, its last suffix sum.
+The work arrays hold one point more than a block, in front: there the
+running sum of slot s starts from its carry, and slot s-1's shifted product
+takes slot s's carry as its first factor, in the same vectorized multiply as
+the rest.  One pair of work arrays serves the sub-regions in turn, since
+only the carries outlive a stretch.  No product is written over one of its
+factors (numpy rounds such a product differently when it has one element).
+So every product and every addition is the one a single cumsum over the
+whole sub-region would make, in the same order: the result does not depend
+on the block size, each sub-region's ``out`` is ``==`` the call on that
+sub-region alone, and ``out[s]`` is ``==`` the call on that suffix alone.
+No memory of the region's size is allocated, and no array outlives the
+call.
 
 Concurrent sweeps
 -----------------
 numpy releases the GIL inside its loops, so independent sweeps overlap on
 threads.  ``ordered_sums`` runs several ``ordered_sum`` calls on one
-module-wide thread pool with one worker per usable CPU.  The pool is made on
+module-wide thread pool with one worker per usable CPU; a split evaluation
+of ``multip`` submits two, one per chain orientation.  The pool is made on
 first use (``concurrent.futures`` is imported then, not at import time) and
 lives for the rest of the process; a forked child drops the parent's pool,
 whose threads it does not inherit, and makes its own when it needs one.
@@ -72,10 +82,10 @@ import numpy as np
 # lattice layout
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=9)
+@lru_cache(maxsize=3)
 def lattice_sorted(tau: complex, M: int, N: int) -> tuple[np.ndarray, int]:
     """All w = m*tau + n, |m| < M, |n| < N, sorted by (m, n); returns
-    (points, index_of_zero).  The 9 most recently used (tau, M, N) are
+    (points, index_of_zero).  The 3 most recently used (tau, M, N) are
     cached (a hit returns the same array)."""
     m = np.arange(-M + 1, M, dtype=np.float64)
     n = np.arange(-N + 1, N, dtype=np.float64)
@@ -84,15 +94,38 @@ def lattice_sorted(tau: complex, M: int, N: int) -> tuple[np.ndarray, int]:
     return w, pos0
 
 
+def positive_runs(M: int, N: int, M_sub: int, N_sub: int) -> list[tuple[int, int]]:
+    """Where the points w > 0 of the (M_sub, N_sub) rectangle sit among those
+    of the (M, N) rectangle, both as `lattice_sorted` orders them: the
+    ascending (start, stop) position ranges in ``w[pos0 + 1:]`` of the
+    (M, N) lattice, adjacent ranges merged.  Row m = 0 holds n = 1 ..
+    N_sub - 1 and each row 0 < m < M_sub its |n| < N_sub, so the ranges list
+    the smaller region in its own order: the ``levels`` of `ordered_sum`."""
+    if not (1 <= M_sub <= M and 1 <= N_sub <= N):
+        raise ValueError(f"the ({M_sub}, {N_sub}) rectangle is not inside ({M}, {N})")
+    runs: list[tuple[int, int]] = []
+    for m in range(M_sub):
+        start = 0 if m == 0 else (N - 1) + (m - 1) * (2 * N - 1) + (N - N_sub)
+        stop = N_sub - 1 if m == 0 else start + 2 * N_sub - 1
+        if runs and runs[-1][1] == start:
+            runs[-1] = (runs[-1][0], stop)
+        elif stop > start:
+            runs.append((start, stop))
+    return runs
+
+
 # ---------------------------------------------------------------------------
 # ordered nested sum
 # ---------------------------------------------------------------------------
 
 # Points per block of a sweep, so that a call's few work buffers of this
-# many complex values stay in L2 cache.  On a 2-core Xeon with 2 MiB of L2
-# per core, sweeps of 46k and 184k points took 10-15% longer with blocks of
-# 16384 points and 50% longer with 65536.
-_BLOCK = 8192
+# many complex values stay in L2 cache, while each numpy call runs long
+# enough that two pooled sweeps seldom wait for the GIL.  On a 2-vCPU VM
+# with 2 MiB of L2 per core, a batch of 9 multiwp_direct calls at M = 12,
+# N = 2000 (per call two sweeps of 184k points, three levels each; medians
+# of 4 rounds) took 127 ms with blocks of 8192 points and 87 ms with 16384
+# on two CPUs, and 120 against 122 ms on one.
+_BLOCK = 16384
 
 
 def _power_buffers(exps_by_shift: dict, size: int, tmp: np.ndarray) -> tuple[dict, list]:
@@ -120,7 +153,41 @@ def _power_buffers(exps_by_shift: dict, size: int, tmp: np.ndarray) -> tuple[dic
     return tables, folds
 
 
-def ordered_sum(w, shifts, exps, split_last=False, boundary_prev=None) -> list[complex]:
+def _slot_passes(tables, shifts, exps, rem, tmp, acc, pre, a, c, first, out) -> None:
+    """Slots r-1 ... 0 of one sub-region over the block points a..c-1 (a
+    stretch of its own points, in its order): each running sum starts from
+    its carry in ``out`` and leaves its last value there.  ``first`` marks
+    the sub-region's first point; ``rem`` is None without the split."""
+    r = len(exps)
+    b = c - a
+    lo = 1 if first else 0
+    sums, terms = pre[:b + 1], acc[1:b + 1]
+    for s in range(r - 1, -1, -1):
+        vals = tables[shifts[s], exps[s]][a:c]
+        if s == r - 1:
+            if rem is not None:
+                np.multiply(vals, rem[a:c], out=terms)
+            else:
+                np.copyto(terms, vals)
+        else:
+            # slot s pairs each point with the suffix strictly after it
+            if rem is not None and s == r - 2:
+                nxt = np.add(sums[:-1], rem[a:c], out=tmp[:b])
+                if lo:
+                    nxt[0] = rem[a]
+                np.multiply(nxt, vals, out=terms)
+            else:
+                np.multiply(vals, sums[:-1], out=terms)
+                if lo:
+                    terms[0] = 0.0
+            out[s + 1] = complex(sums[-1])
+        acc[0] = out[s]
+        np.cumsum(acc[lo:b + 1], out=sums[lo:])
+    out[0] = complex(sums[-1])
+
+
+def ordered_sum(w, shifts, exps, split_last=False, boundary_prev=None,
+                levels=None) -> list:
     """Every suffix of the ordered nested sum over the (pre-sliced, non-empty)
     region array ``w``, from one backward sweep.
 
@@ -132,6 +199,13 @@ def ordered_sum(w, shifts, exps, split_last=False, boundary_prev=None) -> list[c
     the region start; the last slot's depth-1 suffix ``out[r-1]`` gets the
     single surviving telescoped boundary term -1/(z - boundary_prev - 1) of
     its row.
+
+    levels: sub-regions of ``w`` summed by the same sweep, each given as its
+    ascending, disjoint (start, stop) position ranges of ``w`` (see
+    `positive_runs`); the call then returns one ``out`` per sub-region, each
+    ``==`` the call on ``np.concatenate([w[a:b] for a, b in ranges])``
+    alone.  Without it the one sub-region is ``w`` itself and the call
+    returns its ``out``.
     """
     w = np.asarray(w)
     L = len(w)
@@ -143,6 +217,15 @@ def ordered_sum(w, shifts, exps, split_last=False, boundary_prev=None) -> list[c
     if r == 0 or len(shifts) != r:
         raise ValueError(f"ordered_sum needs one shift per exponent and at least one "
                          f"exponent, got {len(shifts)} shifts and {r} exponents")
+    # each sub-region's ranges of the reversed region, in sweep order
+    swept = []
+    for ranges in ([[(0, L)]] if levels is None else levels):
+        ranges = [(int(a), int(b)) for a, b in ranges]
+        ends = [e for rng in ranges for e in rng]
+        if not ends or ends != sorted(ends) or ends[0] < 0 or ends[-1] > L or ends[0] == ends[-1]:
+            raise ValueError(f"ordered_sum needs ascending, disjoint, non-empty ranges "
+                             f"within 0..{L} for each level, got {ranges}")
+        swept.append([(L - b, L - a) for a, b in reversed(ranges) if b > a])
     split_last = bool(split_last and exps[-1] == 2)
     zr = shifts[-1]
     exps_by_shift: dict = {}
@@ -154,20 +237,21 @@ def ordered_sum(w, shifts, exps, split_last=False, boundary_prev=None) -> list[c
     tmp = np.empty(size, dtype=np.complex128)
     tables, folds = _power_buffers(exps_by_shift, size, tmp)
     rem = np.empty(size, dtype=np.complex128) if split_last else None
-    # acc[1 + i] is slot s's term at block point i and pre[1 + i] its suffix
-    # sum; acc[0] = pre[0] is the suffix sum carried from the previous block
-    # (0 before the first block, whose shifted product reads it)
+    # acc[1 + i] is a slot's term at block point i and pre[1 + i] its suffix
+    # sum; acc[0] = pre[0] is the suffix sum carried from the sub-region's
+    # previous point (0 before its first point, whose shifted product reads
+    # it).  One pair serves every sub-region in turn.
     acc = np.empty(size + 1, dtype=np.complex128)
     pre = np.zeros(size + 1, dtype=np.complex128)
-    # out[s]: slot s's suffix sum through the last block swept
-    out = [0j] * r
+    # outs[l][s]: sub-region l's slot s suffix sum through its points swept
+    outs = [[0j] * r for _ in swept]
+    pending = [0] * len(swept)  # index of each sub-region's next range
     wr = w[::-1]
     for i0 in range(0, L, size):
         # an integer region (multitangent_direct) is converted block by block
         blk = wr[i0:i0 + size].astype(np.complex128, copy=False)
         b = len(blk)
-        # the first block starts its running sums at its first term, not at 0
-        lo = 1 if i0 == 0 else 0
+        i1 = i0 + b
         for x, inv, dests in folds:
             p = np.subtract(x, blk, out=inv[:b])
             np.reciprocal(p, out=p)
@@ -178,32 +262,20 @@ def ordered_sum(w, shifts, exps, split_last=False, boundary_prev=None) -> list[c
             # remainder added after slot r-2
             np.subtract(blk, zr - 1.0, out=rem[:b])
             np.reciprocal(rem[:b], out=rem[:b])
-        sums, terms = pre[:b + 1], acc[1:b + 1]
-        for s in range(r - 1, -1, -1):
-            vals = tables[shifts[s], exps[s]][:b]
-            if s == r - 1:
-                if split_last:
-                    np.multiply(vals, rem[:b], out=terms)
-                else:
-                    np.copyto(terms, vals)
-            else:
-                # slot s pairs each point with the suffix strictly after it
-                if split_last and s == r - 2:
-                    nxt = np.add(sums[:-1], rem[:b], out=tmp[:b])
-                    if lo:
-                        nxt[0] = rem[0]
-                    np.multiply(nxt, vals, out=terms)
-                else:
-                    np.multiply(vals, sums[:-1], out=terms)
-                    if lo:
-                        terms[0] = 0.0
-                out[s + 1] = complex(sums[-1])
-            acc[0] = out[s]
-            np.cumsum(acc[lo:b + 1], out=sums[lo:])
-        out[0] = complex(sums[-1])
+        for lv, ranges in enumerate(swept):
+            j = pending[lv]
+            while j < len(ranges) and ranges[j][0] < i1:
+                a, c = ranges[j]
+                _slot_passes(tables, shifts, exps, rem, tmp, acc, pre, max(a, i0) - i0,
+                             min(c, i1) - i0, j == 0 and a >= i0, outs[lv])
+                if c > i1:
+                    break
+                j += 1
+            pending[lv] = j
     if split_last and boundary_prev is not None:
-        out[r - 1] += -1.0 / (zr - complex(boundary_prev) - 1.0)
-    return out
+        for out in outs:
+            out[r - 1] += -1.0 / (zr - complex(boundary_prev) - 1.0)
+    return outs[0] if levels is None else outs
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from math import log
 import numpy as np
 
 from .core import EvalConfig, Index, couplings
-from .kernels import lattice_sorted, ordered_sum, ordered_sums
+from .kernels import lattice_sorted, ordered_sum, positive_runs
 from .mzv import mzv
 from .weier import (TWO_PI_I, _as_cfg, _check_tau, _lipschitz_amplitude, _row_sum,
                     lipschitz_psi)
@@ -124,13 +124,18 @@ def multitangent_reduce(index) -> MultitangentReduction:
 # direct (slow) evaluation
 # ---------------------------------------------------------------------------
 
-def _tilde_sweep(index: Index, xs, tau: complex, cfg: EvalConfig) -> tuple:
+def _tilde_sweep(index: Index, xs, tau: complex, cfg: EvalConfig, coarser=()) -> tuple:
     """The ``ordered_sum`` arguments of the sweep over the lattice points
     w > 0 that gives the truncated restricted sums of index[s:] at xs[s:]
     (trailing-2 telescoping split); at xs = 0 the full one is the truncated
-    sum over 0 < w_1 < ... < w_r of `meis_direct`."""
+    sum over 0 < w_1 < ... < w_r of `meis_direct`.  With configs ``coarser``,
+    whose rectangles lie inside cfg's, the one sweep gives these sums under
+    cfg and under each of them, in that order."""
     w, pos0 = lattice_sorted(tau, cfg.M, cfg.N)
-    return w[pos0 + 1:], [complex(x) for x in xs], list(index), index[-1] == 2, 0.0
+    sweep = (w[pos0 + 1:], [complex(x) for x in xs], list(index), index[-1] == 2, 0.0)
+    if not coarser:
+        return sweep
+    return sweep + ([positive_runs(cfg.M, cfg.N, c.M, c.N) for c in (cfg, *coarser)],)
 
 
 def meis_direct(index, tau: complex, cfg: EvalConfig | None = None) -> complex:
@@ -145,15 +150,14 @@ def meis_direct(index, tau: complex, cfg: EvalConfig | None = None) -> complex:
 
 def meis_direct_error(index, tau: complex,
                       cfg: EvalConfig | None = None) -> tuple[complex, float]:
-    """(refined value, Cauchy-difference error estimate); the two sweeps run
-    at once."""
+    """(refined value, Cauchy-difference error estimate); one sweep over the
+    refined region gives both sums."""
     index = Index(index)
     _require_admissible(index)
     tau = _check_tau(tau)
     cfg = _as_cfg(cfg)
     zeros = [0.0] * index.depth
-    fine, coarse = ordered_sums([_tilde_sweep(index, zeros, tau, cfg.refined()),
-                                 _tilde_sweep(index, zeros, tau, cfg)])
+    fine, coarse = ordered_sum(*_tilde_sweep(index, zeros, tau, cfg.refined(), [cfg]))
     sign = (-1) ** (index.weight % 2)
     v1, v2 = sign * coarse[0], sign * fine[0]
     return v2, abs(v2 - v1)

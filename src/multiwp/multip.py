@@ -152,14 +152,15 @@ def _split_extrapolated(index: Index, zs, tau: complex, cfg: EvalConfig) -> comp
     The fixed-M truncation error is an asymptotic series a/N + b/N^2 + ...
     (slot tails against the nonvanishing rows-above suffix constants give the
     1/N term); three evaluations at N, 2N, 4N remove both leading orders.
-    Their six sweeps run at once, the largest first.
+    Each chain orientation takes one sweep over the 4N region, which gives
+    its sums at all three levels; the two sweeps run at once.
     """
     if index.depth == 0:
         return 1.0 + 0.0j
     chains = ((index, zs), (index.reversed(), [-z for z in reversed(zs)]))
-    levels = [cfg.with_(N=4 * cfg.N), cfg.with_(N=2 * cfg.N), cfg]
-    sums = ordered_sums([_tilde_sweep(ix, xs, tau, c) for c in levels for ix, xs in chains])
-    v4, v2, v1 = (_multivar_split(index, zs, sums[j], sums[j + 1]) for j in (0, 2, 4))
+    top, coarser = cfg.with_(N=4 * cfg.N), (cfg.with_(N=2 * cfg.N), cfg)
+    fwd, rev = ordered_sums([_tilde_sweep(ix, xs, tau, top, coarser) for ix, xs in chains])
+    v4, v2, v1 = (_multivar_split(index, zs, f, r) for f, r in zip(fwd, rev))
     return (8.0 * v4 - 6.0 * v2 + v1) / 3.0
 
 

@@ -12,7 +12,8 @@ import pytest
 
 from multiwp import kernels, meisen, multip
 from multiwp.core import EvalConfig, Index, compositions_ge2
-from multiwp.kernels import kahan_cumsum, lattice_sorted, ordered_sum, ordered_sums
+from multiwp.kernels import (kahan_cumsum, lattice_sorted, ordered_sum, ordered_sums,
+                             positive_runs)
 from multiwp.meisen import meis_direct
 from multiwp.multip import _multivar_split, _tilde_kernel, multiwp_direct
 
@@ -34,13 +35,13 @@ def test_lattice_cache_keeps_the_most_recently_used():
     taus = [0.1 * j + 1.3j for j in range(20)]
     for tau in taus:
         lattice_sorted(tau, 2, 3)
-    assert lattice_sorted.cache_info().currsize <= 9
+    assert lattice_sorted.cache_info().currsize <= 3
     kept = lattice_sorted(taus[12], 2, 3)[0]
     assert lattice_sorted(taus[12], 2, 3)[0] is kept
-    for tau in taus[:8]:
+    for tau in taus[:2]:
         lattice_sorted(tau, 2, 3)
     assert lattice_sorted(taus[12], 2, 3)[0] is kept
-    assert lattice_sorted.cache_info().currsize <= 9
+    assert lattice_sorted.cache_info().currsize <= 3
 
 
 def test_lattice_cache_under_threads():
@@ -70,7 +71,7 @@ def test_lattice_cache_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not wrong
-    assert lattice_sorted.cache_info().currsize <= 9
+    assert lattice_sorted.cache_info().currsize <= 3
 
 
 def test_ordered_sum_depth1_matches_plain_sum():
@@ -296,10 +297,63 @@ def test_blocks_repeat_the_one_pass_sweep_on_integers(exps, monkeypatch):
         assert got == ref and _bits(got) == _bits(ref), split
 
 
-def _traced_peak(region, shifts, exps):
+@pytest.mark.parametrize("M, N, M_sub, N_sub", [(4, 7, 4, 7), (4, 7, 4, 3), (4, 7, 2, 1),
+                                                 (4, 7, 1, 5), (5, 9, 3, 4), (3, 2, 3, 1)])
+def test_positive_runs_list_the_smaller_region(M, N, M_sub, N_sub):
+    tau = 0.4 + 1.2j
+    w, pos0 = lattice_sorted(tau, M, N)
+    sub, sub0 = lattice_sorted(tau, M_sub, N_sub)
+    runs = positive_runs(M, N, M_sub, N_sub)
+    assert all(a < b for a, b in runs) and all(b < a for (_, b), (a, _) in zip(runs, runs[1:]))
+    got = np.concatenate([w[pos0 + 1:][a:b] for a, b in runs])
+    assert _bits(got) == _bits(sub[sub0 + 1:])
+
+
+def test_positive_runs_need_a_rectangle_inside():
+    for sub in [(5, 3), (4, 8), (0, 3), (2, 0)]:
+        with pytest.raises(ValueError, match="is not inside"):
+            positive_runs(4, 7, *sub)
+
+
+# sub-regions of the 38 points w > 0 of the (4, 6) lattice, swept in blocks
+# of 7: the lattice levels of a Richardson step (the top one a single run),
+# rows of one point each, a level whose first run starts mid-block, and
+# adjacent runs left unmerged
+LEVEL_M, LEVEL_N = 4, 6
+LEVELS = ([positive_runs(LEVEL_M, LEVEL_N, LEVEL_M, n) for n in (6, 3, 2, 1)]
+          + [positive_runs(LEVEL_M, LEVEL_N, 2, 5), [(0, 1)], [(37, 38)],
+             [(3, 4), (6, 20), (20, 21), (33, 36)]])
+
+
+@pytest.mark.parametrize("exps", BLOCK_EXPS)
+def test_each_level_of_one_sweep_equals_its_own_sweep(exps, monkeypatch):
+    monkeypatch.setattr(kernels, "_BLOCK", BLOCK)
+    w, pos0 = lattice_sorted(0.4 + 1.2j, LEVEL_M, LEVEL_N)
+    region, prev = w[pos0 + 1:], w[pos0]
+    assert len(region) == 38 and [b - a for a, b in LEVELS[3]] == [1, 1, 1]
+    for shifts in ([SHIFTS[0]] * len(exps), SHIFTS[:len(exps)]):
+        for split in (False, True):
+            got = ordered_sum(region, shifts, list(exps), split, prev, LEVELS)
+            assert len(got) == len(LEVELS)
+            for out, ranges in zip(got, LEVELS):
+                sub = np.concatenate([region[a:b] for a, b in ranges])
+                alone = ordered_sum(sub, shifts, list(exps), split_last=split,
+                                    boundary_prev=prev)
+                assert _bits(out) == _bits(alone), (shifts, split, ranges)
+
+
+@pytest.mark.parametrize("levels", [[[(0, 5)], []], [[(4, 9), (2, 3)]], [[(0, 5), (4, 9)]],
+                                    [[(0, 5), (7, 6)]], [[(3, 3)]], [[(-1, 3)]], [[(30, 39)]]])
+def test_levels_must_be_ascending_disjoint_ranges_inside_the_region(levels):
+    w, pos0 = lattice_sorted(0.4 + 1.2j, LEVEL_M, LEVEL_N)
+    with pytest.raises(ValueError, match="ascending, disjoint, non-empty ranges"):
+        ordered_sum(w[pos0 + 1:], [0.3], [3], levels=levels)
+
+
+def _traced_peak(region, shifts, exps, levels=None):
     tracemalloc.start()
     try:
-        ordered_sum(region, shifts, exps, split_last=True, boundary_prev=0.0)
+        ordered_sum(region, shifts, exps, split_last=True, boundary_prev=0.0, levels=levels)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -316,6 +370,9 @@ def test_sweep_memory_does_not_grow_with_the_region():
     assert len(w) - pos0 - 1 > 180_000
     assert peaks[8000] < 4 * 2**20
     assert peaks[8000] <= peaks[2000]
+    # the same region swept once for the three Richardson levels N, 2N, 4N
+    levels = [positive_runs(12, 8000, 12, n) for n in (8000, 4000, 2000)]
+    assert _traced_peak(w[pos0 + 1:], [z] * 3, [4, 3, 2], levels) < 4 * 2**20
 
 
 def test_threads_sweeping_at_once_match_serial_sweeps():
@@ -348,9 +405,13 @@ def test_threads_sweeping_at_once_match_serial_sweeps():
         assert results[i] == [serial[i % len(jobs)]] * 3, i
 
 
-def _power_sweep(w, shifts, exps, split_last=False, boundary_prev=None):
+def _power_sweep(w, shifts, exps, split_last=False, boundary_prev=None, levels=None):
     """The sweep with a complex power v ** -k per slot and one division per
-    split term: an independent route to the lattice evaluators' values."""
+    split term: an independent route to the lattice evaluators' values.
+    With ``levels``, one such sweep per sub-region, cut out of ``w``."""
+    if levels is not None:
+        return [_power_sweep(np.concatenate([np.asarray(w)[a:b] for a, b in ranges]),
+                             shifts, exps, split_last, boundary_prev) for ranges in levels]
     w = np.asarray(w, dtype=np.complex128)
     shifts = np.asarray(shifts, dtype=np.complex128)
     exps = np.asarray(exps, dtype=np.int64)

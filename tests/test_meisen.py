@@ -171,6 +171,15 @@ def test_meis_dual_pipeline():
                 assert abs(qe - de) <= 3 * est + 1e-8 * (1 + abs(qe)), (ix, tau)
 
 
+def test_meis_direct_error_is_the_two_truncations_swept_apart():
+    # the one sweep with two levels gives the values of two separate sweeps
+    cfg = EvalConfig(M=5, N=90)
+    for tau in (1j, 0.3 + 1.1j):
+        for ix in [(2,), (3,), (2, 2), (3, 2), (2, 4, 2), (2, 2, 3, 2)]:
+            fine, coarse = meis_direct(ix, tau, cfg.refined()), meis_direct(ix, tau, cfg)
+            assert meis_direct_error(ix, tau, cfg) == (fine, abs(fine - coarse)), (ix, tau)
+
+
 def test_meis_qexp_q_order_guard():
     with pytest.raises(QOrderError):
         meis_qexp((2,), 0.05j)
