@@ -165,11 +165,13 @@ def partition_trace(phi: TraceWeight, X: Sequence, r: int):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _stuffle_words(a: tuple, b: tuple) -> tuple[tuple[Index, int], ...]:
+def _stuffle_words(a: tuple, b: tuple) -> tuple[tuple[tuple, int], ...]:
+    """The stuffle product of two words as (word, multiplicity) pairs in
+    sorted word order, the words plain tuples."""
     if not a:
-        return ((Index(b), 1),)
+        return ((tuple(b), 1),)
     if not b:
-        return ((Index(a), 1),)
+        return ((tuple(a), 1),)
     out: dict[tuple, int] = {}
     for word, c in _stuffle_words(a[1:], b):
         w = (a[0],) + word
@@ -180,9 +182,7 @@ def _stuffle_words(a: tuple, b: tuple) -> tuple[tuple[Index, int], ...]:
     for word, c in _stuffle_words(a[1:], b[1:]):
         w = (a[0] + b[0],) + word
         out[w] = out.get(w, 0) + c
-    # every part is one of a's or b's, which the two leaves above
-    # validate, or a sum of two: wrap the words without validating again
-    return tuple((tuple.__new__(Index, w), c) for w, c in sorted(out.items()))
+    return tuple(sorted(out.items()))
 
 
 def stuffle(a: Iterable[int], b: Iterable[int]) -> dict[Index, int]:
@@ -190,9 +190,13 @@ def stuffle(a: Iterable[int], b: Iterable[int]) -> dict[Index, int]:
 
     stuffle((2,), (3,)) == {(2,3): 1, (3,2): 1, (5,): 1}; the empty index is
     the unit.  Multiple zeta values, multiple Eisenstein series and multiple
-    wp-functions all satisfy this product on their indices.
+    wp-functions all satisfy this product on their indices.  The words come
+    in sorted order.
     """
-    return dict(_stuffle_words(tuple(a), tuple(b)))
+    # every part of a product word is a part of a or b, or a sum of two
+    # such parts: validate the inputs and wrap the words as they are
+    words = _stuffle_words(Index(a), Index(b))
+    return {tuple.__new__(Index, w): m for w, m in words}
 
 
 def stuffle_expand(terms) -> dict:
@@ -284,6 +288,21 @@ def compositions_fixed(total: int, r: int, minpart: int = 0):
         yield tuple(parts)
 
 
+@lru_cache(maxsize=None)
+def _coupled_words(parts: tuple, total: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every (ns, c) with ns = (n_1..n_r) summing to total, n_j >= k_j, and
+    c = prod_j C(n_j - 1, k_j - 1) for the parts k, in lexicographic order
+    of ns; empty when total < sum(parts)."""
+    if not parts:
+        return (((), 1),) if total == 0 else ()
+    k, rest = parts[0], parts[1:]
+    out = []
+    for n in range(k, total - sum(rest) + 1):
+        c = comb(n - 1, k - 1)
+        out.extend(((n,) + ns, c * cr) for ns, cr in _coupled_words(rest, total - n))
+    return tuple(out)
+
+
 def couplings(index: Sequence[int], total: int, free: int | None = None,
               n_free: int | None = None):
     """The binomial coupling of the reduction theorem.
@@ -295,26 +314,31 @@ def couplings(index: Sequence[int], total: int, free: int | None = None,
 
     is nonzero.  The free n_i is n_free when given and otherwise any n_i >= 0.
     With free=None every slot is coupled and c is the unsigned product over
-    all j.  The order is lexicographic in ns (stars and bars on the excess).
+    all j.  The order is lexicographic in ns.  The slots after the free one
+    come from the table of their coupled words, the ones before it are walked
+    slot by slot.
     """
     k = tuple(index)
-    base = list(k)
-    coupled = [j for j in range(len(k)) if j != free]
-    slots = list(range(len(k)))
-    if free is not None:
-        base[free] = n_free or 0
-        if n_free is not None:
-            slots.remove(free)
-    for excess in compositions_fixed(total - sum(base), len(slots), 0):
-        ns = list(base)
-        for j, e in zip(slots, excess):
-            ns[j] += e
-        c = 1
-        for j in coupled:
-            c *= comb(ns[j] - 1, k[j] - 1)
-        if free is not None and (k[free] + sum(ns[free:])) % 2:
-            c = -c
-        yield tuple(ns), c
+    if free is None:
+        yield from _coupled_words(k, total)
+        return
+    tail = k[free + 1:]
+    fixed = () if n_free is None else (n_free,)
+
+    def walk(j, head, rest, c):
+        # rest = n_j + ... + n_r still to place
+        if j == free:
+            if (k[free] + rest) % 2:
+                c = -c
+            for n in fixed or range(rest - sum(tail) + 1):
+                for ns, ct in _coupled_words(tail, rest - n):
+                    yield head + (n,) + ns, c * ct
+            return
+        kj = k[j]
+        for n in range(kj, rest - sum(k[j + 1:free]) - sum(tail) - (n_free or 0) + 1):
+            yield from walk(j + 1, head + (n,), rest - n, c * comb(n - 1, kj - 1))
+
+    yield from walk(0, (), total, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ whole sub-region would make, in the same order: the result does not depend
 on the block size, each sub-region's ``out`` is ``==`` the call on that
 sub-region alone, and ``out[s]`` is ``==`` the call on that suffix alone.
 No memory of the region's size is allocated, and no array outlives the
-call.
+call.  A call without ``levels`` runs in blocks of ``_BLOCK // 2`` points.
 
 Concurrent sweeps
 -----------------
@@ -118,13 +118,18 @@ def positive_runs(M: int, N: int, M_sub: int, N_sub: int) -> list[tuple[int, int
 # ordered nested sum
 # ---------------------------------------------------------------------------
 
-# Points per block of a sweep, so that a call's few work buffers of this
-# many complex values stay in L2 cache, while each numpy call runs long
-# enough that two pooled sweeps seldom wait for the GIL.  On a 2-vCPU VM
-# with 2 MiB of L2 per core, a batch of 9 multiwp_direct calls at M = 12,
-# N = 2000 (per call two sweeps of 184k points, three levels each; medians
-# of 4 rounds) took 127 ms with blocks of 8192 points and 87 ms with 16384
-# on two CPUs, and 120 against 122 ms on one.
+# Points per block of a sweep with ``levels``, so that a call's few work
+# buffers of this many complex values stay in L2 cache, while each numpy
+# call runs long enough that two pooled sweeps seldom wait for the GIL.  On
+# a 2-vCPU VM with 2 MiB of L2 per core, a batch of 9 multiwp_direct calls
+# at M = 12, N = 2000 (per call two sweeps of 184k points, three levels
+# each; medians of 4 rounds) took 127 ms with blocks of 8192 points and
+# 87 ms with 16384 on two CPUs, and 120 against 122 ms on one.  A call
+# without ``levels`` runs in blocks of half as many points, which were no
+# slower there: single-level sweeps of the same 184k points with the split
+# (medians over 6 interleaved rounds of 11) took 2.86 against 3.31 ms for
+# the index (2,), 2.61 against 2.58 for (5,), 5.31 against 5.64 for
+# (3,2,2) and 6.30 against 6.44 for (2,3,2,2).
 _BLOCK = 16384
 
 
@@ -182,7 +187,9 @@ def _slot_passes(tables, shifts, exps, rem, tmp, acc, pre, a, c, first, out) -> 
                     terms[0] = 0.0
             out[s + 1] = complex(sums[-1])
         acc[0] = out[s]
-        np.cumsum(acc[lo:b + 1], out=sums[lo:])
+        # the cumsum itself: np.cumsum makes a fresh "accumulate" name on
+        # each call, which the interpreter's type cache can keep
+        np.add.accumulate(acc[lo:b + 1], out=sums[lo:])
     out[0] = complex(sums[-1])
 
 
@@ -233,7 +240,7 @@ def ordered_sum(w, shifts, exps, split_last=False, boundary_prev=None,
         exps_by_shift.setdefault(x, set()).add(k)
     if split_last:
         exps_by_shift[zr].add(2)
-    size = min(L, _BLOCK)
+    size = min(L, _BLOCK if levels is not None else _BLOCK // 2)
     tmp = np.empty(size, dtype=np.complex128)
     tables, folds = _power_buffers(exps_by_shift, size, tmp)
     rem = np.empty(size, dtype=np.complex128) if split_last else None

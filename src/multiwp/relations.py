@@ -11,7 +11,9 @@ an integer, so the rows are built and reduced in Python ints; a Fraction
 appears only for a coefficient that is not integral.  Each weight has one
 column order, and the rows are dense int lists over it, built from a
 per-pair stuffle table in column form and reduced against sparse pivot
-rows.  A reversed source gives the same relation up to sign,
+rows.  An antipode coefficient has n_i = 1 and factorises into a sign and
+the couplings of its left and right words, which come from the coupling
+table of core.  A reversed source gives the same relation up to sign,
 antipode_relation(k[::-1]) == (-1)^{|k|-1} antipode_relation(k), so one
 source of each mirror pair is used.
 """
@@ -21,8 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, pi
 
-from .core import (Index, TruncatedSeries, _stuffle_words, bernoulli, compositions_ge2,
-                   couplings, stuffle_expand)
+from .core import (Index, TruncatedSeries, _coupled_words, _stuffle_words, bernoulli,
+                   compositions_ge2, couplings, stuffle_expand)
 from .mzv import mzv
 from .meisen import meis_qexp
 from .weier import eisenstein_G
@@ -116,8 +118,13 @@ class SymbolicCombination:
         if self._row is None and not all(type(c) is int for c in self.terms.values()):
             return SymbolicCombination(
                 stuffle_expand((c, (u, ix)) for ix, c in self.terms.items()))
+        if self._row is None:
+            items = self.terms.items()
+        else:
+            order = _columns(self.weight)[0]
+            items = ((order[col], c) for col, c in enumerate(self._row) if c)
         row = [0] * len(_columns(weight)[0])
-        for ix, c in self.terms.items():
+        for ix, c in items:
             for col, m in zip(*_stuffle_columns(u, ix)):
                 row[col] += c * m
         return SymbolicCombination._from_row(row, weight)
@@ -147,13 +154,24 @@ def antipode_relation(source) -> SymbolicCombination:
     source = Index(source)
     if not source.admissible:
         raise ValueError("source parts must be >= 2")
-    # every word has parts n_p >= k_p >= 2 and weight source.weight - 1
+    # every word has parts n_p >= k_p >= 2 and weight source.weight - 1; with
+    # n_i = 1 the coefficient factorises into the sign (-1)^{k_i + 1 + |R|}
+    # and the couplings of the reversed left word L = (n_{i-1}, .., n_1) and
+    # of the right word R = (n_{i+1}, .., n_r)
     weight = source.weight - 1
     row = [0] * len(_columns(weight)[0])
     for i in range(source.depth):
-        for ns, c in couplings(source, source.weight, i, 1):
-            for col, m in zip(*_stuffle_columns(ns[:i][::-1], ns[i + 1:])):
-                row[col] += c * m
+        left, right = source[:i][::-1], source[i + 1:]
+        for lw in range(sum(left), weight - sum(right) + 1):
+            rw = weight - lw
+            rights = _coupled_words(right, rw)
+            sign = -1 if (source[i] + 1 + rw) % 2 else 1
+            for a, ca in _coupled_words(left, lw):
+                ca *= sign
+                for b, cb in rights:
+                    c = ca * cb
+                    for col, m in zip(*_stuffle_columns(a, b)):
+                        row[col] += c * m
     return SymbolicCombination._from_row(row, weight)
 
 
@@ -253,10 +271,10 @@ def _columns(weight: int) -> tuple[tuple[Index, ...], dict[Index, int]]:
 @lru_cache(maxsize=None)
 def _stuffle_columns(a: tuple, b: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The stuffle product of two admissible words as its columns over
-    _columns(|a| + |b|) and their multiplicities."""
-    col_of = _columns(sum(a) + sum(b))[1]
-    words = _stuffle_words(a, b)
-    return tuple(col_of[word] for word, _ in words), tuple(m for _, m in words)
+    _columns(|a| + |b|) and their multiplicities, in the sorted word order
+    of stuffle(a, b)."""
+    words, mults = zip(*_stuffle_words(a, b))
+    return tuple(map(_columns(sum(a) + sum(b))[1].__getitem__, words)), mults
 
 
 class RelationMatrix:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from multiwp.core import (Index, compositions_fixed, compositions_ge2, couplings, stuffle,
                           stuffle_expand)
 from multiwp.relations import (RelationMatrix, SymbolicCombination, _IntEchelon,
-                               _antipode_basis, antipode_relation,
+                               _antipode_basis, _columns, _stuffle_columns, antipode_relation,
                                combination_residual, conjectured_dim, conjectured_rel,
                                eisenstein_relation_residual, mzv_relation_residual,
                                relation_rank, relation_rows, relation_table)
@@ -293,6 +293,34 @@ def test_stuffle_mul_matches_stuffle_expand():
             for u in us:
                 want = stuffle_expand((c, (u, ix)) for ix, c in rel.terms.items())
                 assert rel.stuffle_mul(u).terms == want, (rel, u)
+
+
+def test_stuffle_words_come_sorted_and_match_their_columns():
+    # float sums over stuffle(a, b) (the harmonic-product checks, verify,
+    # the MZV tests) add in this order
+    words = [()] + [ix for w in range(2, 13) for ix in compositions_ge2(w)]
+    for a in words:
+        for b in words:
+            if sum(a) + sum(b) <= 12:
+                got = list(stuffle(a, b))
+                assert got == sorted(got), (a, b)
+    # every word pair the rows of weight <= 12 use: the antipode pairs and
+    # the stuffle_mul pairs (u, ix) with ix of any lower weight
+    pairs = set()
+    for weight in range(2, 13):
+        for src in compositions_ge2(weight + 1):
+            for i in range(len(src)):
+                pairs.update((ns[:i][::-1], ns[i + 1:])
+                             for ns, _ in couplings(src, weight + 1, i, 1))
+        for uw in range(2, weight - 1):
+            pairs.update((u, ix) for u in compositions_ge2(uw)
+                         for ix in compositions_ge2(weight - uw))
+    assert len(pairs) > 900
+    for a, b in pairs:
+        col_of = _columns(sum(a) + sum(b))[1]
+        prod = stuffle(a, b)
+        assert _stuffle_columns(a, b) == (tuple(col_of[w] for w in prod),
+                                          tuple(prod.values())), (a, b)
 
 
 def _fraction_rank(rows) -> int:
