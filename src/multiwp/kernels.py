@@ -10,8 +10,13 @@ concurrently through ``ordered_sums``.
 Summation region and order
 --------------------------
 Lattice points w = m*tau + n with |m| < M, |n| < N are laid out in the
-total (Eisenstein) order: sort by m, then by n.  An ordered nested sum of
-depth r is
+total (Eisenstein) order: sort by m, then by n (`lattice_sorted`).  A region
+is either an array of points or a `LatticeRegion`, the points of that layout
+from one position on, which the sweep makes itself block by block: each row
+segment is the row's m*tau plus a slice of one descending range of n,
+written into a work buffer of the block, so no array of the region's size
+exists and nothing is cached between calls.  An ordered nested sum of depth
+r is
 
     sum_{start <= j_1 < j_2 < ... < j_r}  prod_s 1/(z_s - w_{j_s})^{k_s},
 
@@ -30,11 +35,13 @@ Arithmetic of one sweep
 -----------------------
 The sweep runs over the reversed region, so that each suffix sum is a
 forward cumsum, in blocks of ``_BLOCK`` points.  Each block computes its own
-tables into work buffers of one block each, allocated once per call: one
-reciprocal 1/(z - w) per distinct shift z of the call (every slot of a
-``multiwp_direct`` sweep has the same shift), each power 1/(z - w)^k from it
-by k - 1 products as the left fold ((inv*inv)*inv)..., shared by all slots
-with that shift and exponent, and under the split one 1/(V_r - 1), which
+tables into work buffers of one block each, allocated once per call (a
+lattice region's block is made in the spare buffer of the power folds and
+read for every x - w before they overwrite it): one reciprocal 1/(z - w)
+per distinct shift z of the call (every slot of a ``multiwp_direct`` sweep
+has the same shift), each power 1/(z - w)^k from it by k - 1 products as
+the left fold ((inv*inv)*inv)..., shared by all slots with that shift and
+exponent, and under the split one 1/(V_r - 1), which
 serves both the split term -1/((V_r - 1) V_r^2) = inv_r^2 * (-1/(V_r - 1))
 and the row remainder -1/(V_r - 1) added after slot r-2.  Then each
 sub-region (``levels``; by default the one region) runs slots r-1 ... 0 over
@@ -55,8 +62,11 @@ So every product and every addition is the one a single cumsum over the
 whole sub-region would make, in the same order: the result does not depend
 on the block size, each sub-region's ``out`` is ``==`` the call on that
 sub-region alone, and ``out[s]`` is ``==`` the call on that suffix alone.
-No memory of the region's size is allocated, and no array outlives the
-call.  A call without ``levels`` runs in blocks of ``_BLOCK // 2`` points.
+The sweep allocates no memory of the region's size (a lattice region has
+none at all), and no array outlives the call.  A call without ``levels`` runs in blocks of
+``_BLOCK // 2`` points; a lattice region's blocks hold whole rows, as many
+as fit, so that a block's points take one numpy call and a smaller
+truncation's run of a row falls in one block.
 
 Concurrent sweeps
 -----------------
@@ -73,7 +83,7 @@ from __future__ import annotations
 
 import os
 import threading
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,11 +92,9 @@ import numpy as np
 # lattice layout
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=3)
 def lattice_sorted(tau: complex, M: int, N: int) -> tuple[np.ndarray, int]:
     """All w = m*tau + n, |m| < M, |n| < N, sorted by (m, n); returns
-    (points, index_of_zero).  The 3 most recently used (tau, M, N) are
-    cached (a hit returns the same array)."""
+    (points, index_of_zero).  The reference layout of `LatticeRegion`."""
     m = np.arange(-M + 1, M, dtype=np.float64)
     n = np.arange(-N + 1, N, dtype=np.float64)
     w = (m[:, None] * complex(tau) + n[None, :]).ravel()
@@ -94,11 +102,73 @@ def lattice_sorted(tau: complex, M: int, N: int) -> tuple[np.ndarray, int]:
     return w, pos0
 
 
+@dataclass(frozen=True)
+class LatticeRegion:
+    """The points of ``lattice_sorted(tau, M, N)[0]`` from position ``start``
+    on, as a value: `ordered_sum` makes them block by block and no array of
+    the region's size exists.  Never mutated, so sweeps on several threads
+    may share one."""
+
+    tau: complex
+    M: int
+    N: int
+    start: int = 0
+
+    def __post_init__(self):
+        if not (self.M >= 1 and self.N >= 1
+                and 0 <= self.start <= (2 * self.M - 1) * (2 * self.N - 1)):
+            raise ValueError(f"no lattice region at M={self.M}, N={self.N}, "
+                             f"start={self.start}")
+
+    @classmethod
+    def above_zero(cls, tau: complex, M: int, N: int) -> LatticeRegion:
+        """The points w > 0: those after w = 0 in the (m, n) order."""
+        return cls(tau, M, N, (M - 1) * (2 * N - 1) + N)
+
+    def __len__(self) -> int:
+        return (2 * self.M - 1) * (2 * self.N - 1) - self.start
+
+    def reversed_blocks(self, buf: np.ndarray):
+        """The region's points from last to first, written into ``buf`` and
+        yielded as views of it, each block overwritten by the next: as many
+        whole rows as fit in ``buf``, or a piece of a row longer than it,
+        with the region's first row (a partial one) on its own unless it fits
+        after the whole rows.  A row is its m*tau, rounded as `lattice_sorted`
+        rounds it, plus one descending range of n, so the points are ``==``
+        the layout's."""
+        width = 2 * self.N - 1
+        first, c = divmod(self.start, width)  # the region's first point
+        # the region's rows from the last down, each m*tau as a (1,) array
+        rows = (np.arange(first - self.M + 1, self.M, dtype=np.float64)[:, None]
+                * complex(self.tau))[::-1]
+        # n + 0j, as numpy casts the float n of `lattice_sorted` for the sum
+        n = np.arange(self.N - 1, -self.N, -1, dtype=np.float64).astype(np.complex128)
+        size, last, tail = len(buf), len(rows) - 1, width - c
+        per = size // width  # whole rows per block
+        i = j = 0  # the next point: row i, position j of the n-range
+        while i <= last:
+            if per and i < last:
+                k = min(per, last - i)
+                np.add(rows[i:i + k], n, out=buf[:k * width].reshape(k, width))
+                b, i = k * width, i + k
+                if i == last and tail <= size - b:
+                    np.add(rows[last], n[:tail], out=buf[b:b + tail])
+                    b, i = b + tail, i + 1
+            else:
+                stop = width if i < last else tail
+                b = min(size, stop - j)
+                np.add(rows[i], n[j:j + b], out=buf[:b])
+                j += b
+                if j == stop:
+                    i, j = i + 1, 0
+            yield buf[:b]
+
+
 def positive_runs(M: int, N: int, M_sub: int, N_sub: int) -> list[tuple[int, int]]:
     """Where the points w > 0 of the (M_sub, N_sub) rectangle sit among those
     of the (M, N) rectangle, both as `lattice_sorted` orders them: the
-    ascending (start, stop) position ranges in ``w[pos0 + 1:]`` of the
-    (M, N) lattice, adjacent ranges merged.  Row m = 0 holds n = 1 ..
+    ascending (start, stop) position ranges in ``LatticeRegion.above_zero``
+    of the (M, N) lattice, adjacent ranges merged.  Row m = 0 holds n = 1 ..
     N_sub - 1 and each row 0 < m < M_sub its |n| < N_sub, so the ranges list
     the smaller region in its own order: the ``levels`` of `ordered_sum`."""
     if not (1 <= M_sub <= M and 1 <= N_sub <= N):
@@ -195,8 +265,8 @@ def _slot_passes(tables, shifts, exps, rem, tmp, acc, pre, a, c, first, out) -> 
 
 def ordered_sum(w, shifts, exps, split_last=False, boundary_prev=None,
                 levels=None) -> list:
-    """Every suffix of the ordered nested sum over the (pre-sliced, non-empty)
-    region array ``w``, from one backward sweep.
+    """Every suffix of the ordered nested sum over the non-empty region
+    ``w``, a `LatticeRegion` or an array of points, from one backward sweep.
 
     ``out[s]`` is the ordered sum over slots s..r-1 alone, so ``out[0]`` is
     the full depth-r sum and ``out[s]`` equals
@@ -214,7 +284,6 @@ def ordered_sum(w, shifts, exps, split_last=False, boundary_prev=None,
     alone.  Without it the one sub-region is ``w`` itself and the call
     returns its ``out``.
     """
-    w = np.asarray(w)
     L = len(w)
     if L == 0:
         raise ValueError("ordered_sum needs a non-empty summation region")
@@ -253,22 +322,30 @@ def ordered_sum(w, shifts, exps, split_last=False, boundary_prev=None,
     # outs[l][s]: sub-region l's slot s suffix sum through its points swept
     outs = [[0j] * r for _ in swept]
     pending = [0] * len(swept)  # index of each sub-region's next range
-    wr = w[::-1]
-    for i0 in range(0, L, size):
+    if isinstance(w, LatticeRegion):
+        blocks = w.reversed_blocks(tmp)
+    else:
         # an integer region (multitangent_direct) is converted block by block
-        blk = wr[i0:i0 + size].astype(np.complex128, copy=False)
-        b = len(blk)
+        wr = np.asarray(w)[::-1]
+        blocks = (wr[i0:i0 + size].astype(np.complex128, copy=False)
+                  for i0 in range(0, L, size))
+    i1 = 0
+    for blk in blocks:
+        i0, b = i1, len(blk)
         i1 = i0 + b
-        for x, inv, dests in folds:
-            p = np.subtract(x, blk, out=inv[:b])
-            np.reciprocal(p, out=p)
-            for d in dests:
-                p = np.multiply(p, inv[:b], out=d[:b])
+        # every x - w and V_r - 1 first: the powers below may be written
+        # over tmp, which holds a lattice region's block
+        for x, inv, _ in folds:
+            np.subtract(x, blk, out=inv[:b])
         if split_last:
             # -1/(V_r - 1): a factor of the split term and the telescoped row
             # remainder added after slot r-2
             np.subtract(blk, zr - 1.0, out=rem[:b])
             np.reciprocal(rem[:b], out=rem[:b])
+        for x, inv, dests in folds:
+            p = np.reciprocal(inv[:b], out=inv[:b])
+            for d in dests:
+                p = np.multiply(p, inv[:b], out=d[:b])
         for lv, ranges in enumerate(swept):
             j = pending[lv]
             while j < len(ranges) and ranges[j][0] < i1:

@@ -29,7 +29,7 @@ from math import log
 import numpy as np
 
 from .core import EvalConfig, Index, couplings
-from .kernels import lattice_sorted, ordered_sum, positive_runs
+from .kernels import LatticeRegion, ordered_sum, positive_runs
 from .mzv import mzv
 from .weier import (TWO_PI_I, _as_cfg, _check_tau, _lipschitz_amplitude, _row_sum,
                     lipschitz_psi)
@@ -128,11 +128,12 @@ def _tilde_sweep(index: Index, xs, tau: complex, cfg: EvalConfig, coarser=()) ->
     """The ``ordered_sum`` arguments of the sweep over the lattice points
     w > 0 that gives the truncated restricted sums of index[s:] at xs[s:]
     (trailing-2 telescoping split); at xs = 0 the full one is the truncated
-    sum over 0 < w_1 < ... < w_r of `meis_direct`.  With configs ``coarser``,
-    whose rectangles lie inside cfg's, the one sweep gives these sums under
-    cfg and under each of them, in that order."""
-    w, pos0 = lattice_sorted(tau, cfg.M, cfg.N)
-    sweep = (w[pos0 + 1:], [complex(x) for x in xs], list(index), index[-1] == 2, 0.0)
+    sum over 0 < w_1 < ... < w_r of `meis_direct`.  The points are a
+    `LatticeRegion`, which the sweep makes block by block.  With configs
+    ``coarser``, whose rectangles lie inside cfg's, the one sweep gives these
+    sums under cfg and under each of them, in that order."""
+    sweep = (LatticeRegion.above_zero(tau, cfg.M, cfg.N), [complex(x) for x in xs],
+             list(index), index[-1] == 2, 0.0)
     if not coarser:
         return sweep
     return sweep + ([positive_runs(cfg.M, cfg.N, c.M, c.N) for c in (cfg, *coarser)],)

@@ -17,7 +17,7 @@ from math import comb, factorial, inf, log
 
 from .core import (ConvergenceError, EvalConfig, Index, compositions_fixed, couplings,
                    stuffle_expand)
-from .kernels import lattice_sorted, ordered_sum, ordered_sums
+from .kernels import LatticeRegion, ordered_sum, ordered_sums
 from .meisen import (_amplitude_matrix, _require_admissible, _strip_p_matrix, _suffix_dp,
                      _tilde_sweep, g_function, meis_qexp, multitangent_reduce)
 from .mzv import _hurwitz_prefixes
@@ -182,8 +182,7 @@ def multiwp_raw(index, z: complex, tau: complex,
     _require_admissible(index)
     tau = _check_tau(tau)
     cfg = _as_cfg(cfg)
-    w, _ = lattice_sorted(tau, cfg.M, cfg.N)
-    return ordered_sum(w, [complex(z)] * index.depth, list(index),
+    return ordered_sum(LatticeRegion(tau, cfg.M, cfg.N), [complex(z)] * index.depth, list(index),
                        split_last=index[-1] == 2)[0]
 
 

@@ -1,7 +1,6 @@
 import math
 import multiprocessing
 import os
-import random
 import subprocess
 import sys
 import threading
@@ -12,8 +11,8 @@ import pytest
 
 from multiwp import kernels, meisen, multip
 from multiwp.core import EvalConfig, Index, compositions_ge2
-from multiwp.kernels import (kahan_cumsum, lattice_sorted, ordered_sum, ordered_sums,
-                             positive_runs)
+from multiwp.kernels import (LatticeRegion, kahan_cumsum, lattice_sorted, ordered_sum,
+                             ordered_sums, positive_runs)
 from multiwp.meisen import meis_direct
 from multiwp.multip import _multivar_split, _tilde_kernel, multiwp_direct
 
@@ -30,48 +29,40 @@ def test_lattice_sorted_order():
     assert keys == sorted(keys)
 
 
-def test_lattice_cache_keeps_the_most_recently_used():
-    lattice_sorted.cache_clear()
-    taus = [0.1 * j + 1.3j for j in range(20)]
-    for tau in taus:
-        lattice_sorted(tau, 2, 3)
-    assert lattice_sorted.cache_info().currsize <= 3
-    kept = lattice_sorted(taus[12], 2, 3)[0]
-    assert lattice_sorted(taus[12], 2, 3)[0] is kept
-    for tau in taus[:2]:
-        lattice_sorted(tau, 2, 3)
-    assert lattice_sorted(taus[12], 2, 3)[0] is kept
-    assert lattice_sorted.cache_info().currsize <= 3
+def _bits(values):
+    return np.array(values, dtype=np.complex128).view(np.float64).tobytes()
 
 
-def test_lattice_cache_under_threads():
-    # more threads than cores, switching often: every hit must still be the
-    # right lattice and the bound must hold
-    lattice_sorted.cache_clear()
-    taus = [0.05 * j + 1.1j for j in range(30)]
-    wrong = []
+# rows of 1 to 17 points, against blocks of 1 to 100 points
+@pytest.mark.parametrize("M, N", [(1, 2), (1, 6), (3, 1), (3, 2), (4, 5), (2, 9)])
+@pytest.mark.parametrize("size", [1, 2, 4, 7, 100])
+@pytest.mark.parametrize("tau", [0.4 + 1.2j, -0.3 + 0.9j])
+def test_region_blocks_are_the_reversed_lattice(M, N, size, tau):
+    w, pos0 = lattice_sorted(tau, M, N)
+    width = 2 * N - 1
+    assert LatticeRegion.above_zero(tau, M, N) == LatticeRegion(tau, M, N, pos0 + 1)
+    for start in (0, pos0 + 1):
+        region = LatticeRegion(tau, M, N, start)
+        want = w[start:][::-1]
+        assert len(region) == len(want)
+        buf = np.empty(size, dtype=np.complex128)
+        i = 0
+        for blk in region.reversed_blocks(buf):
+            assert 0 < len(blk) <= size and np.shares_memory(blk, buf)
+            assert _bits(blk) == _bits(want[i:i + len(blk)]), (start, i)
+            # whole rows while they fit; else pieces of one row, cut mid-row
+            if width <= size:
+                assert i % width == 0
+            else:
+                assert i // width == (i + len(blk) - 1) // width
+            i += len(blk)
+        assert i == len(want)
 
-    def work(seed):
-        rng = random.Random(seed)
-        for _ in range(200):
-            tau = rng.choice(taus)
-            w, pos0 = lattice_sorted(tau, 2, 3)
-            if w[pos0] != 0 or w[pos0 + 1] != 1 or abs(w[-1] - (tau + 2)) > 1e-12:
-                wrong.append(tau)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not wrong
-    assert lattice_sorted.cache_info().currsize <= 3
+@pytest.mark.parametrize("M, N, start", [(0, 3, 0), (2, 0, 0), (2, 3, -1), (2, 3, 16)])
+def test_region_must_lie_in_its_lattice(M, N, start):
+    with pytest.raises(ValueError, match="no lattice region"):
+        LatticeRegion(0.4 + 1.2j, M, N, start)
 
 
 def test_ordered_sum_depth1_matches_plain_sum():
@@ -262,10 +253,6 @@ def _one_pass_sum(w, shifts, exps, split_last=False, boundary_prev=None):
     return out
 
 
-def _bits(values):
-    return np.array(values, dtype=np.complex128).view(np.float64).tobytes()
-
-
 BLOCK = 7
 BLOCK_EXPS = [(2,), (5,), (1, 2), (3, 2), (2, 4, 2), (4, 3, 3), (3, 2, 2, 2), (2, 3, 1, 4)]
 
@@ -273,16 +260,24 @@ BLOCK_EXPS = [(2,), (5,), (1, 2), (3, 2), (2, 4, 2), (4, 3, 3), (3, 2, 2, 2), (2
 @pytest.mark.parametrize("L", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2])
 @pytest.mark.parametrize("exps", BLOCK_EXPS)
 def test_blocks_repeat_the_one_pass_sweep(L, exps, monkeypatch):
-    # block boundaries at every position relative to the region's ends
+    # block boundaries at every position relative to the region's ends: the
+    # first L points w > 0 as an array, and the last L points as a lattice
+    # region, in rows of 9 against blocks of 3
     monkeypatch.setattr(kernels, "_BLOCK", BLOCK)
-    w, pos0 = lattice_sorted(0.4 + 1.2j, 4, 5)
-    region, prev = w[pos0 + 1:pos0 + 1 + L], w[pos0]
-    assert len(region) == L
-    for shifts in ([SHIFTS[0]] * len(exps), SHIFTS[:len(exps)]):
-        for split in (False, True):
-            got = ordered_sum(region, shifts, list(exps), split_last=split, boundary_prev=prev)
-            ref = _one_pass_sum(region, shifts, list(exps), split_last=split, boundary_prev=prev)
-            assert got == ref and _bits(got) == _bits(ref), (shifts, split)
+    tau = 0.4 + 1.2j
+    w, pos0 = lattice_sorted(tau, 4, 5)
+    start = len(w) - L
+    cases = [(w[pos0 + 1:pos0 + 1 + L], w[pos0 + 1:pos0 + 1 + L], w[pos0]),
+             (LatticeRegion(tau, 4, 5, start), w[start:], w[start - 1])]
+    for region, points, prev in cases:
+        assert len(region) == len(points) == L
+        for shifts in ([SHIFTS[0]] * len(exps), SHIFTS[:len(exps)]):
+            for split in (False, True):
+                got = ordered_sum(region, shifts, list(exps), split_last=split,
+                                  boundary_prev=prev)
+                ref = _one_pass_sum(points, shifts, list(exps), split_last=split,
+                                    boundary_prev=prev)
+                assert got == ref and _bits(got) == _bits(ref), (region, shifts, split)
 
 
 @pytest.mark.parametrize("exps", [(2,), (5, 3), (2, 7, 2), (2, 2, 2, 2)])
@@ -327,19 +322,24 @@ LEVELS = ([positive_runs(LEVEL_M, LEVEL_N, LEVEL_M, n) for n in (6, 3, 2, 1)]
 
 @pytest.mark.parametrize("exps", BLOCK_EXPS)
 def test_each_level_of_one_sweep_equals_its_own_sweep(exps, monkeypatch):
-    monkeypatch.setattr(kernels, "_BLOCK", BLOCK)
-    w, pos0 = lattice_sorted(0.4 + 1.2j, LEVEL_M, LEVEL_N)
+    tau = 0.4 + 1.2j
+    w, pos0 = lattice_sorted(tau, LEVEL_M, LEVEL_N)
     region, prev = w[pos0 + 1:], w[pos0]
     assert len(region) == 38 and [b - a for a, b in LEVELS[3]] == [1, 1, 1]
-    for shifts in ([SHIFTS[0]] * len(exps), SHIFTS[:len(exps)]):
-        for split in (False, True):
-            got = ordered_sum(region, shifts, list(exps), split, prev, LEVELS)
-            assert len(got) == len(LEVELS)
-            for out, ranges in zip(got, LEVELS):
-                sub = np.concatenate([region[a:b] for a, b in ranges])
-                alone = ordered_sum(sub, shifts, list(exps), split_last=split,
-                                    boundary_prev=prev)
-                assert _bits(out) == _bits(alone), (shifts, split, ranges)
+    # rows of 11 points against blocks of 7, and of 25: two whole rows, then
+    # the last whole row with the 5 points of the row m = 0
+    for block in (BLOCK, 25):
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        for swept in (region, LatticeRegion.above_zero(tau, LEVEL_M, LEVEL_N)):
+            for shifts in ([SHIFTS[0]] * len(exps), SHIFTS[:len(exps)]):
+                for split in (False, True):
+                    got = ordered_sum(swept, shifts, list(exps), split, prev, LEVELS)
+                    assert len(got) == len(LEVELS)
+                    for out, ranges in zip(got, LEVELS):
+                        sub = np.concatenate([region[a:b] for a, b in ranges])
+                        alone = ordered_sum(sub, shifts, list(exps), split_last=split,
+                                            boundary_prev=prev)
+                        assert _bits(out) == _bits(alone), (block, swept, shifts, split)
 
 
 @pytest.mark.parametrize("levels", [[[(0, 5)], []], [[(4, 9), (2, 3)]], [[(0, 5), (4, 9)]],
@@ -380,14 +380,45 @@ def test_sweep_memory_does_not_grow_with_the_region():
     assert _traced_peak(w[pos0 + 1:], [z] * 3, [4, 3, 2], levels) < 4 * 2**20
 
 
+_BATCHES_RSS = """
+import resource
+from multiwp.core import EvalConfig
+from multiwp.multip import multiwp_direct
+
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+cfg = EvalConfig(M=12, N=2000)
+batch = [(2,), (6,), (3, 2), (2, 5), (2, 2, 2), (3, 2, 4), (2, 4, 2), (2, 2, 2, 2), (3, 2, 2, 3)]
+for j, tau in enumerate([0.3 + 1.1j, -0.2 + 0.9j, 0.45 + 1.3j, 0.1 + 0.8j]):
+    for ix in batch:
+        multiwp_direct(ix, 0.23 + 0.17j - 0.05j * j, tau, cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_lattice_batches_memory_stays_near_the_import():
+    # the direct sums of four lattice-check batches at four tau, in a fresh
+    # process: each 4N lattice has 368k points (5.9 MB as an array), and a
+    # split evaluation sweeps its w > 0 half twice at once
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", _BATCHES_RSS], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    grown_kib = int(run.stdout.split()[-1])
+    assert grown_kib <= 12 * 1024
+
+
 def test_threads_sweeping_at_once_match_serial_sweeps():
     tau = 0.3 + 1.1j
     w, pos0 = lattice_sorted(tau, 6, 3000)
-    jobs = [(w[pos0 + 1:], [0.23 + 0.17j] * 3, [3, 2, 2]),
+    # the region job is the first, so two threads sweep the same region
+    jobs = [(LatticeRegion.above_zero(tau, 6, 3000), [0.23 + 0.17j] * 3, [4, 3, 2]),
+            (w[pos0 + 1:], [0.23 + 0.17j] * 3, [3, 2, 2]),
             (w[:pos0][::-1], [-0.23 - 0.17j] * 4, [2, 4, 3, 2]),
             (w[pos0 + 1:pos0 + 20_000], SHIFTS[:2], [5, 2])]
     serial = [ordered_sum(reg, sh, ex, split_last=True, boundary_prev=0.0)
               for reg, sh, ex in jobs]
+    assert serial[0] == ordered_sum(w[pos0 + 1:], [0.23 + 0.17j] * 3, [4, 3, 2],
+                                    split_last=True, boundary_prev=0.0)
     results = {}
 
     def work(i):
@@ -413,7 +444,10 @@ def test_threads_sweeping_at_once_match_serial_sweeps():
 def _power_sweep(w, shifts, exps, split_last=False, boundary_prev=None, levels=None):
     """The sweep with a complex power v ** -k per slot and one division per
     split term: an independent route to the lattice evaluators' values.
-    With ``levels``, one such sweep per sub-region, cut out of ``w``."""
+    With ``levels``, one such sweep per sub-region, cut out of ``w``; a
+    lattice region is read as the same points from `lattice_sorted`."""
+    if isinstance(w, LatticeRegion):
+        w = lattice_sorted(w.tau, w.M, w.N)[0][w.start:]
     if levels is not None:
         return [_power_sweep(np.concatenate([np.asarray(w)[a:b] for a, b in ranges]),
                              shifts, exps, split_last, boundary_prev) for ranges in levels]
