@@ -135,12 +135,20 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--fn {fn} takes a single part in --index, got {args.index!r}")
     tau = parse_complex(args.tau)
     z = parse_complex(args.z) if args.z else None
+    truncation = None  # the rows and N levels a direct lattice sum swept
     if fn == "multiwp":
         val = multip.multiwp_direct(index, z, tau, cfg)
+        above, below = ((meisen.tilde_rows(xs, tau, cfg.M) if index.depth else 0)
+                        for _, xs in multip._split_chains(index, [z] * index.depth))
+        truncation = {"rows_above_0": above, "rows_below_0": below,
+                      "N": [cfg.N, 2 * cfg.N, 4 * cfg.N]}
     elif fn == "meis":
         val = meisen.meis_qexp(index, tau)
     elif fn == "meis-direct":
         val, est = meisen.meis_direct_error(index, tau, cfg)
+        zeros = [0.0] * index.depth
+        truncation = {"rows": [meisen.tilde_rows(zeros, tau, m) for m in (cfg.M, 2 * cfg.M)],
+                      "N": [cfg.N, 2 * cfg.N]}
     elif fn == "wpk":
         val = weier.wp_k(index[0], z, tau, cfg)
     elif fn == "wp":
@@ -162,6 +170,8 @@ def cmd_eval(args) -> int:
         "residuals": [],
         "status": "ok",
     }
+    if truncation is not None:
+        report["truncation"] = truncation
     _emit(args, report)
     return 0
 

@@ -480,6 +480,15 @@ class EvalConfig:
     M: tau-direction half-width (|m| < M), N: integer-direction half-width
     (|n| < N), with the inner n-limit taken before the outer m-limit.  N >= 2,
     so that the region w > 0 of the split and the direct series is not empty.
+
+    M is a cap.  The split and restricted sums (`multiwp_direct`,
+    `multiwp_multivar`, `meis_direct`, `meis_direct_error` and the kernel
+    route of `multiwp_tilde`) sweep only the rows that tau asks for: the
+    fewest with e^{-2 pi (R Im tau - h)} <= 1e-20, h the largest Im of the
+    sweep's shifts (at least 0), as `meisen.tilde_rows` counts them.  In the
+    N -> oo limit a row m enters only through multitangent factors of that
+    size, so a row past them adds nothing but its N-truncation residue,
+    which is error.  `multiwp_raw`, the plain cross-check, sweeps all M rows.
     """
 
     M: int = 80

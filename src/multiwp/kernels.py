@@ -15,8 +15,12 @@ is either an array of points or a `LatticeRegion`, the points of that layout
 from one position on, which the sweep makes itself block by block: each row
 segment is the row's m*tau plus a slice of one descending range of n,
 written into a work buffer of the block, so no array of the region's size
-exists and nothing is cached between calls.  An ordered nested sum of depth
-r is
+exists and nothing is cached between calls.  The caller picks M: the
+sweeps over w > 0 behind the split and the restricted sums take the rows
+that tau and their shifts ask for (`meisen.tilde_rows`: a row whose
+multitangent factors are below 1e-20 adds only its N-truncation residue),
+at most ``EvalConfig.M``, and only the plain `multiwp_raw` sweeps all M
+rows.  An ordered nested sum of depth r is
 
     sum_{start <= j_1 < j_2 < ... < j_r}  prod_s 1/(z_s - w_{j_s})^{k_s},
 

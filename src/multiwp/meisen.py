@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import log
+from math import ceil, log
 
 import numpy as np
 
@@ -36,8 +36,8 @@ from .weier import (TWO_PI_I, _as_cfg, _check_tau, _lipschitz_amplitude, _row_su
 
 __all__ = [
     "QOrderError", "MultitangentReduction", "monotangent", "multitangent_reduce",
-    "multitangent_direct", "meis_direct", "meis_direct_error", "meis_qexp", "g_function",
-    "g_function_direct",
+    "multitangent_direct", "tilde_rows", "meis_direct", "meis_direct_error", "meis_qexp",
+    "g_function", "g_function_direct",
 ]
 
 
@@ -124,19 +124,37 @@ def multitangent_reduce(index) -> MultitangentReduction:
 # direct (slow) evaluation
 # ---------------------------------------------------------------------------
 
+# -log(1e-20) / (2 pi): a w > 0 row m enters a restricted sum in the N -> oo
+# limit only through multitangent factors of size e^{-2 pi (m Im tau - Im x)}
+_ROW_DECAY = 20.0 * log(10.0) / (2.0 * np.pi)
+
+
+def tilde_rows(xs, tau: complex, M: int) -> int:
+    """Rows m = 0 .. R-1 of the lattice points w > 0 that a restricted-sum
+    sweep at shifts xs takes: the smallest R >= 1 with
+    e^{-2 pi (R Im tau - h)} <= 1e-20, h = max(0, max Im x), capped by M.
+    Past R a row adds only its N-truncation residue, which is error."""
+    h = max([0.0] + [complex(x).imag for x in xs])
+    return min(M, max(1, ceil((h + _ROW_DECAY) / complex(tau).imag)))
+
+
 def _tilde_sweep(index: Index, xs, tau: complex, cfg: EvalConfig, coarser=()) -> tuple:
     """The ``ordered_sum`` arguments of the sweep over the lattice points
     w > 0 that gives the truncated restricted sums of index[s:] at xs[s:]
     (trailing-2 telescoping split); at xs = 0 the full one is the truncated
     sum over 0 < w_1 < ... < w_r of `meis_direct`.  The points are a
-    `LatticeRegion`, which the sweep makes block by block.  With configs
-    ``coarser``, whose rectangles lie inside cfg's, the one sweep gives these
-    sums under cfg and under each of them, in that order."""
-    sweep = (LatticeRegion.above_zero(tau, cfg.M, cfg.N), [complex(x) for x in xs],
-             list(index), index[-1] == 2, 0.0)
+    `LatticeRegion`, which the sweep makes block by block, of
+    ``tilde_rows(xs, tau, cfg.M)`` rows.  With configs ``coarser``, whose
+    rectangles lie inside cfg's, the one sweep gives these sums under cfg
+    and under each of them, in that order, each over its own
+    ``tilde_rows`` rows."""
+    xs = [complex(x) for x in xs]
+    M = tilde_rows(xs, tau, cfg.M)
+    sweep = (LatticeRegion.above_zero(tau, M, cfg.N), xs, list(index), index[-1] == 2, 0.0)
     if not coarser:
         return sweep
-    return sweep + ([positive_runs(cfg.M, cfg.N, c.M, c.N) for c in (cfg, *coarser)],)
+    return sweep + ([positive_runs(M, cfg.N, tilde_rows(xs, tau, c.M), c.N)
+                     for c in (cfg, *coarser)],)
 
 
 def meis_direct(index, tau: complex, cfg: EvalConfig | None = None) -> complex:
@@ -152,7 +170,10 @@ def meis_direct(index, tau: complex, cfg: EvalConfig | None = None) -> complex:
 def meis_direct_error(index, tau: complex,
                       cfg: EvalConfig | None = None) -> tuple[complex, float]:
     """(refined value, Cauchy-difference error estimate); one sweep over the
-    refined region gives both sums."""
+    refined region gives both sums.  The refined sum runs to 2 cfg.N over
+    `tilde_rows` at zero shifts capped by 2 cfg.M, the coarse one to cfg.N
+    over the same rows capped by cfg.M: when cfg.M does not cap them, the
+    two share their rows and the estimate measures only the change in N."""
     index = Index(index)
     _require_admissible(index)
     tau = _check_tau(tau)

@@ -38,8 +38,28 @@ __all__ = [
 
 def _tilde_kernel(index: Index, xs, tau: complex, cfg: EvalConfig) -> list[complex]:
     """The truncated restricted sums of index[s:] at xs[s:], for every s, from
-    one kernel sweep over the lattice points w > 0."""
+    one kernel sweep over the lattice points w > 0, at the one truncation
+    cfg.N."""
     return ordered_sum(*_tilde_sweep(index, xs, tau, cfg))
+
+
+def _richardson_sweep(index: Index, xs, tau: complex, cfg: EvalConfig) -> tuple:
+    """The ``ordered_sum`` arguments of the one sweep over the 4N region
+    whose three levels are the restricted sums under 4N, 2N and N."""
+    return _tilde_sweep(index, xs, tau, cfg.with_(N=4 * cfg.N),
+                        (cfg.with_(N=2 * cfg.N), cfg))
+
+
+def _richardson(v4: complex, v2: complex, v1: complex) -> complex:
+    """The N -> oo limit of a sum at 4N, 2N and N whose truncation error is
+    a/N + b/N^2 + ...: both leading orders removed, an N^-3 term left."""
+    return (8.0 * v4 - 6.0 * v2 + v1) / 3.0
+
+
+def _tilde_extrapolated(index: Index, xs, tau: complex, cfg: EvalConfig) -> complex:
+    """The restricted sum of the whole index at xs, Richardson-extrapolated
+    from one three-level sweep."""
+    return _richardson(*(out[0] for out in ordered_sum(*_richardson_sweep(index, xs, tau, cfg))))
 
 
 def _tilde_taylor(index: Index, xs, tau: complex, tol: float, max_order: int = 26) -> complex:
@@ -92,8 +112,9 @@ def multiwp_tilde(index, xs, tau: complex, cfg: EvalConfig | None = None) -> com
 
     At depth <= 3 with every |x_i| <= 0.45 it takes the Eisenstein Taylor
     series `_tilde_taylor` to cfg.tol * 1e-4 (far more accurate); otherwise,
-    or when that series raises ConvergenceError, the truncated ordered
-    lattice kernel `_tilde_kernel` under cfg.
+    or when that series raises ConvergenceError, the ordered lattice kernel
+    under cfg, Richardson-extrapolated over cfg.N, 2 cfg.N, 4 cfg.N
+    (`_tilde_extrapolated`).
     """
     index = Index(index)
     _require_admissible(index)
@@ -113,7 +134,7 @@ def multiwp_tilde(index, xs, tau: complex, cfg: EvalConfig | None = None) -> com
             return _tilde_taylor(index, xs, tau, cfg.tol * 1e-4)
         except ConvergenceError:
             pass
-    return _tilde_kernel(index, xs, tau, cfg)[0]
+    return _tilde_extrapolated(index, xs, tau, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +167,12 @@ def _multivar_split(index: Index, zs, fwd: list[complex], rev: list[complex]) ->
     return total
 
 
+def _split_chains(index: Index, zs) -> tuple:
+    """The two chain orientations (index, shifts) that the split sweeps: the
+    suffix factors' (index, zs) and the reversed prefix factors'."""
+    return (index, zs), (index.reversed(), [-z for z in reversed(zs)])
+
+
 def _split_extrapolated(index: Index, zs, tau: complex, cfg: EvalConfig) -> complex:
     """Richardson-extrapolated inner limit of the split evaluator.
 
@@ -153,15 +180,15 @@ def _split_extrapolated(index: Index, zs, tau: complex, cfg: EvalConfig) -> comp
     (slot tails against the nonvanishing rows-above suffix constants give the
     1/N term); three evaluations at N, 2N, 4N remove both leading orders.
     Each chain orientation takes one sweep over the 4N region, which gives
-    its sums at all three levels; the two sweeps run at once.
+    its sums at all three levels; the two sweeps run at once.  Each sweeps
+    its own `tilde_rows`, so the sum is over the rectangle of those rows
+    below and above 0, which the split regroups exactly.
     """
     if index.depth == 0:
         return 1.0 + 0.0j
-    chains = ((index, zs), (index.reversed(), [-z for z in reversed(zs)]))
-    top, coarser = cfg.with_(N=4 * cfg.N), (cfg.with_(N=2 * cfg.N), cfg)
-    fwd, rev = ordered_sums([_tilde_sweep(ix, xs, tau, top, coarser) for ix, xs in chains])
-    v4, v2, v1 = (_multivar_split(index, zs, f, r) for f, r in zip(fwd, rev))
-    return (8.0 * v4 - 6.0 * v2 + v1) / 3.0
+    fwd, rev = ordered_sums([_richardson_sweep(ix, xs, tau, cfg)
+                             for ix, xs in _split_chains(index, zs)])
+    return _richardson(*(_multivar_split(index, zs, f, r) for f, r in zip(fwd, rev)))
 
 
 def multiwp_direct(index, z: complex, tau: complex,
@@ -169,7 +196,12 @@ def multiwp_direct(index, z: complex, tau: complex,
     """Multiple wp-function: iterated Eisenstein-ordered lattice sum over
     w_1 < ... < w_r of prod (z - w_s)^{-k_s} (inner n-limits accelerated by
     Richardson extrapolation over cfg.N, 2 cfg.N, 4 cfg.N); the
-    multivariable wp at z_1 = ... = z_r = z."""
+    multivariable wp at z_1 = ... = z_r = z.
+
+    The rows are cut where Im tau says they stop mattering: each half of
+    the split sweeps the `meisen.tilde_rows` of its shifts (z above 0, -z
+    below), at most cfg.M.  All three levels share those rows, so the
+    extrapolation removes only the error in N."""
     index = Index(index)
     return multiwp_multivar(index, [z] * index.depth, tau, cfg)
 

@@ -60,6 +60,25 @@ def test_eval_reduce_cross_command(capsys):
     assert abs(total - direct) < 1e-6
 
 
+def test_eval_reports_the_truncation_it_swept(capsys):
+    # multiwp: rows on each side of 0 from tau and Im z, under the cap M
+    base = ["eval", "--fn", "multiwp", "--index", "2,2", "--z", "0.3+0.9i", "--tau", "2i",
+            "-N", "500", "--format", "json"]
+    for M, rows in (("12", (5, 4)), ("4", (4, 4))):
+        code, out = run_cli(base + ["-M", M], capsys)
+        assert code == 0
+        assert json.loads(out)["truncation"] == {
+            "rows_above_0": rows[0], "rows_below_0": rows[1], "N": [500, 1000, 2000]}
+    # meis-direct: the coarse and refined levels, capped by M and 2M
+    code, out = run_cli(["eval", "--fn", "meis-direct", "--index", "2,3", "--tau", "0.3+1.1i",
+                         "-M", "3", "-N", "100", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["truncation"] == {"rows": [3, 6], "N": [100, 200]}
+    # a route without a lattice sum reports none
+    code, out = run_cli(["eval", "--fn", "meis", "--index", "2,3", "--format", "json"], capsys)
+    assert code == 0 and "truncation" not in json.loads(out)
+
+
 def test_table_csv(capsys):
     code, out = run_cli(["table", "--max-weight", "6", "--format", "csv"], capsys)
     assert code == 0

@@ -140,6 +140,24 @@ def test_word_splittings():
         sum(len(b) for b in sps[0].blocks) + 1
 
 
+@pytest.mark.parametrize("tau", [0.5 + 0.6j, 0.3 + 1.1j, 2j, -0.4 + 5j, 40j])
+def test_tilde_rows_stop_where_the_rows_fall_below_1e_20(tau):
+    # the smallest R >= 1 with e^{-2 pi (R Im tau - h)} <= 1e-20, capped by M
+    decay = 20 * math.log(10) / (2 * math.pi)
+    prev = 1
+    for h in np.linspace(-1.0, 3.0, 41):
+        xs = [0.2 - 0.3j, 0.1 + 1j * h, -0.4]
+        R = meisen.tilde_rows(xs, tau, 10**6)
+        top = max(0.0, h)
+        assert R >= prev, h  # more rows as Im x rises, never fewer
+        assert R * tau.imag - top >= decay * (1 - 1e-12), h
+        assert R == 1 or (R - 1) * tau.imag - top < decay * (1 + 1e-12), h
+        for M in (1, 2, 5, 12):
+            assert meisen.tilde_rows(xs, tau, M) == min(M, R)
+        prev = R
+    assert meisen.tilde_rows([-3j], tau, 10**6) == meisen.tilde_rows([0.0], tau, 10**6)
+
+
 def test_meis_direct_even_depth1():
     # Gt_k = G_k / 2 for even k
     got = meis_direct((4,), 1j, EvalConfig(M=24, N=6000))

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from multiwp.core import DEFAULT_CONFIG, ConvergenceError, EvalConfig, Index
+from multiwp.core import DEFAULT_CONFIG, ConvergenceError, EvalConfig, Index, compositions_ge2
 from multiwp.qmod import QuasiModular, WpPolynomial
 from multiwp import meisen, multip, weier
 from multiwp.meisen import QOrderError, meis_direct, meis_qexp
 from multiwp.mzv import _mzv_cached
-from multiwp.multip import (_multivar_split, _tilde_kernel, _tilde_taylor, antipode_residual,
-                            fourier_c, modular_transform_check, multiwp22_fourier, multiwp_direct,
+from multiwp.kernels import LatticeRegion, ordered_sum, positive_runs
+from multiwp.multip import (_multivar_split, _tilde_extrapolated, _tilde_kernel, _tilde_taylor,
+                            antipode_residual, fourier_c, modular_transform_check, multiwp22_fourier, multiwp_direct,
                             multiwp_multivar, multiwp_raw, multiwp_reduce, multiwp_tilde,
                             multiwp_tilde_fourier)
 from multiwp.verify import _wp_poly_matches_reduction
@@ -72,7 +73,17 @@ def test_tilde_auto_falls_back_to_the_kernel():
     ix, xs = Index((2, 2, 3)), (0.3, 0.3, 0.3)
     with pytest.raises(ConvergenceError):
         _tilde_taylor(ix, xs, 1j, DEFAULT_CONFIG.tol * 1e-4)
-    assert multiwp_tilde(ix, xs, 1j) == _tilde_kernel(ix, xs, 1j, DEFAULT_CONFIG)[0]
+    assert multiwp_tilde(ix, xs, 1j) == _tilde_extrapolated(ix, xs, 1j, DEFAULT_CONFIG)
+
+
+@pytest.mark.parametrize("ix", [(2,), (2, 2), (3, 2, 2)])
+@pytest.mark.parametrize("x", [0.3, 0.3 + 0.1j, 0.3 - 0.1j, 0.6 + 0.2j])
+def test_tilde_kernel_route_extrapolates(ix, x):
+    # the kernel route of multiwp_tilde at the default config against the
+    # Fourier route; one kernel sweep at cfg.N alone is 1e-7 to 7e-4 off
+    ref = multiwp_tilde_fourier(ix, -x, 1j)
+    got = _tilde_extrapolated(Index(ix), [x] * len(ix), 1j, DEFAULT_CONFIG)
+    assert abs(got - ref) <= 1e-7 * (1 + abs(ref))
 
 
 @pytest.mark.parametrize("call", [
@@ -275,6 +286,34 @@ def test_reduce_matches_direct_numerically():
         got = rf.evaluate(Z, TAU, FINE)
         want = multiwp_direct(ix, Z, TAU, FINE)
         assert abs(got - want) < 1e-6, ix
+
+
+ROW_CFG = EvalConfig(M=12, N=2000)
+ROW_TAUS = [0.5 + 0.6j, 0.3 + 1.1j, 2j]  # at the first the rows need 13 > M
+ROW_INDICES = [ix for w in range(2, 9) for ix in compositions_ge2(w) if ix.depth <= 4]
+
+
+def _full_rows_direct(index, z, tau, cfg):
+    """multiwp_direct's split and Richardson step over all cfg.M rows."""
+    region = LatticeRegion.above_zero(tau, cfg.M, 4 * cfg.N)
+    levels = [positive_runs(cfg.M, 4 * cfg.N, cfg.M, n) for n in (4 * cfg.N, 2 * cfg.N, cfg.N)]
+    r = index.depth
+    fwd = ordered_sum(region, [z] * r, list(index), index[-1] == 2, 0.0, levels)
+    rev = ordered_sum(region, [-z] * r, list(index.reversed()), index[0] == 2, 0.0, levels)
+    v4, v2, v1 = (_multivar_split(index, [z] * r, f, b) for f, b in zip(fwd, rev))
+    return (8.0 * v4 - 6.0 * v2 + v1) / 3.0
+
+
+@pytest.mark.parametrize("tau", ROW_TAUS)
+def test_direct_rows_chosen_from_tau_lose_nothing(tau):
+    # every admissible index of weight <= 8 and depth <= 4, at z inside the
+    # period cell on both sides of 0 and at an unreduced z
+    for z in (0.23 + 0.17j, 0.2 - 0.45j * tau.imag, 0.23 + 0.17j + 2 * tau):
+        for ix in ROW_INDICES:
+            want = multiwp_reduce(ix).evaluate(z, tau)
+            full = abs(_full_rows_direct(ix, z, tau, ROW_CFG) - want)
+            got = abs(multiwp_direct(ix, z, tau, ROW_CFG) - want)
+            assert got <= full + 1e-12 * (1 + abs(want)), (ix, z)
 
 
 def test_reduced_evaluate_raises_where_meis_qexp_does():
