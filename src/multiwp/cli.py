@@ -135,24 +135,26 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--fn {fn} takes a single part in --index, got {args.index!r}")
     tau = parse_complex(args.tau)
     z = parse_complex(args.z) if args.z else None
-    truncation = None  # the rows and N levels a direct lattice sum swept
+    swept = {}  # a direct lattice sum's truncation and error estimate
     if fn == "multiwp":
         val = multip.multiwp_direct(index, z, tau, cfg)
         above, below = ((meisen.tilde_rows(xs, tau, cfg.M) if index.depth else 0)
                         for _, xs in multip._split_chains(index, [z] * index.depth))
-        truncation = {"rows_above_0": above, "rows_below_0": below,
-                      "N": [cfg.N, 2 * cfg.N, 4 * cfg.N]}
+        swept["truncation"] = {"rows_above_0": above, "rows_below_0": below,
+                               "N": [cfg.N, 2 * cfg.N, 4 * cfg.N]}
     elif fn == "meis":
         val = meisen.meis_qexp(index, tau)
     elif fn == "meis-direct":
         val, est = meisen.meis_direct_error(index, tau, cfg)
         zeros = [0.0] * index.depth
-        truncation = {"rows": [meisen.tilde_rows(zeros, tau, m) for m in (cfg.M, 2 * cfg.M)],
-                      "N": [cfg.N, 2 * cfg.N]}
+        swept["truncation"] = {"rows": [meisen.tilde_rows(zeros, tau, m)
+                                        for m in (cfg.M, 2 * cfg.M)],
+                               "N": [cfg.N, 2 * cfg.N]}
+        swept["error_estimate"] = est
     elif fn == "wpk":
-        val = weier.wp_k(index[0], z, tau, cfg)
+        val = weier.wp_k(index[0], z, tau)
     elif fn == "wp":
-        val = weier.wp(z, tau, cfg)
+        val = weier.wp(z, tau)
     elif fn == "sigma":
         val = weier.sigma(z, tau)
     elif fn == "zeta":
@@ -169,9 +171,8 @@ def cmd_eval(args) -> int:
                      "re": repr(complex(val).real), "im": repr(complex(val).imag)}],
         "residuals": [],
         "status": "ok",
+        **swept,
     }
-    if truncation is not None:
-        report["truncation"] = truncation
     _emit(args, report)
     return 0
 

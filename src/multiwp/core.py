@@ -477,9 +477,10 @@ def _div(c, n: int):
 class EvalConfig:
     """Truncation and tolerance settings for lattice-sum evaluation.
 
-    M: tau-direction half-width (|m| < M), N: integer-direction half-width
-    (|n| < N), with the inner n-limit taken before the outer m-limit.  N >= 2,
-    so that the region w > 0 of the split and the direct series is not empty.
+    Only the direct lattice sums take one.  M: tau-direction half-width
+    (|m| < M), N: integer-direction half-width (|n| < N), with the inner
+    n-limit taken before the outer m-limit.  M >= 1 and N >= 2, so that the
+    region w > 0 of the split and the direct series is not empty.
 
     M is a cap.  The split and restricted sums (`multiwp_direct`,
     `multiwp_multivar`, `meis_direct`, `meis_direct_error` and the kernel
@@ -496,8 +497,8 @@ class EvalConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if not (self.N >= self.M >= 1 and self.N >= 2):
-            raise ValueError("need N >= M >= 1 and N >= 2")
+        if not (self.M >= 1 and self.N >= 2):
+            raise ValueError("need M >= 1 and N >= 2")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
 

@@ -28,11 +28,10 @@ from math import ceil, log
 
 import numpy as np
 
-from .core import EvalConfig, Index, couplings
+from .core import DEFAULT_CONFIG, EvalConfig, Index, couplings
 from .kernels import LatticeRegion, ordered_sum, positive_runs
 from .mzv import mzv
-from .weier import (TWO_PI_I, _as_cfg, _check_tau, _lipschitz_amplitude, _row_sum,
-                    lipschitz_psi)
+from .weier import TWO_PI_I, _check_tau, _lipschitz_amplitude, _row_sum, lipschitz_psi
 
 __all__ = [
     "QOrderError", "MultitangentReduction", "monotangent", "multitangent_reduce",
@@ -157,18 +156,18 @@ def _tilde_sweep(index: Index, xs, tau: complex, cfg: EvalConfig, coarser=()) ->
                      for c in (cfg, *coarser)],)
 
 
-def meis_direct(index, tau: complex, cfg: EvalConfig | None = None) -> complex:
+def meis_direct(index, tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """Multiple Eisenstein series by the truncated iterated lattice sum
     (inner n-limits before outer m-limits; trailing-2 telescoping split)."""
     index = Index(index)
     _require_admissible(index)
     tau = _check_tau(tau)
-    sweep = _tilde_sweep(index, [0.0] * index.depth, tau, _as_cfg(cfg))
+    sweep = _tilde_sweep(index, [0.0] * index.depth, tau, cfg)
     return (-1) ** (index.weight % 2) * ordered_sum(*sweep)[0]
 
 
 def meis_direct_error(index, tau: complex,
-                      cfg: EvalConfig | None = None) -> tuple[complex, float]:
+                      cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[complex, float]:
     """(refined value, Cauchy-difference error estimate); one sweep over the
     refined region gives both sums.  The refined sum runs to 2 cfg.N over
     `tilde_rows` at zero shifts capped by 2 cfg.M, the coarse one to cfg.N
@@ -177,7 +176,6 @@ def meis_direct_error(index, tau: complex,
     index = Index(index)
     _require_admissible(index)
     tau = _check_tau(tau)
-    cfg = _as_cfg(cfg)
     zeros = [0.0] * index.depth
     fine, coarse = ordered_sum(*_tilde_sweep(index, zeros, tau, cfg.refined(), [cfg]))
     sign = (-1) ** (index.weight % 2)
@@ -334,9 +332,9 @@ def g_function(index, z: complex, tau: complex) -> complex:
     return _suffix_dp(Q, (1.0,) + (0.0,) * r)
 
 
-def g_function_direct(index, z: complex, tau: complex, mmax: int = 40,
-                      N: int = 4000) -> complex:
-    """Direct-sum oracle for g_function: rows Psi_k(z + m tau) by `_row_sum` to |n| <= N."""
+def g_function_direct(index, z: complex, tau: complex) -> complex:
+    """Direct-sum oracle for g_function: rows Psi_k(z + m tau), 0 < m <= 40,
+    by `_row_sum` to |n| <= 4000."""
     index = Index(index)
     _require_admissible(index)
     if index.depth == 0:
@@ -345,14 +343,14 @@ def g_function_direct(index, z: complex, tau: complex, mmax: int = 40,
 
     def row(k, m):
         if (k, m) not in rows:
-            rows[(k, m)] = _row_sum(complex(z + m * tau), N + 1, k)
+            rows[(k, m)] = _row_sum(complex(z + m * tau), 4001, k)
         return rows[(k, m)]
 
     def rec(i, mprev):
         if i == index.depth:
             return 1.0 + 0.0j
         acc = 0.0 + 0.0j
-        for m in range(mprev + 1, mmax + 1):
+        for m in range(mprev + 1, 41):
             acc += row(index[i], m) * rec(i + 1, m)
         return acc
 

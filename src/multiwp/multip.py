@@ -15,13 +15,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, inf, log
 
-from .core import (ConvergenceError, EvalConfig, Index, compositions_fixed, couplings,
-                   stuffle_expand)
+from .core import (DEFAULT_CONFIG, ConvergenceError, EvalConfig, Index, compositions_fixed,
+                   couplings, stuffle_expand)
 from .kernels import LatticeRegion, ordered_sum, ordered_sums
 from .meisen import (_amplitude_matrix, _require_admissible, _strip_p_matrix, _suffix_dp,
                      _tilde_sweep, g_function, meis_qexp, multitangent_reduce)
 from .mzv import _hurwitz_prefixes
-from .weier import TWO_PI_I, _as_cfg, _check_tau, lattice_reduce, lipschitz_psi, wp_k
+from .weier import TWO_PI_I, _check_tau, lattice_reduce, lipschitz_psi, wp_k
 
 __all__ = [
     "multiwp_tilde", "multiwp_direct", "multiwp_raw",
@@ -106,7 +106,7 @@ def _tilde_taylor(index: Index, xs, tau: complex, tol: float, max_order: int = 2
         f"{max_order}: last shell size {abs(shell):.2e}, tol {tol:.1e}")
 
 
-def multiwp_tilde(index, xs, tau: complex, cfg: EvalConfig | None = None) -> complex:
+def multiwp_tilde(index, xs, tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """Restricted multivariable wp: sum over 0 < w_1 < ... < w_r of
     prod (x_s - w_s)^{-k_s}; depth 0 gives 1.
 
@@ -119,7 +119,6 @@ def multiwp_tilde(index, xs, tau: complex, cfg: EvalConfig | None = None) -> com
     index = Index(index)
     _require_admissible(index)
     tau = _check_tau(tau)
-    cfg = _as_cfg(cfg)
     xs = [complex(x) for x in xs]
     if len(xs) != index.depth:
         raise ValueError("one argument per index part")
@@ -192,7 +191,7 @@ def _split_extrapolated(index: Index, zs, tau: complex, cfg: EvalConfig) -> comp
 
 
 def multiwp_direct(index, z: complex, tau: complex,
-                   cfg: EvalConfig | None = None) -> complex:
+                   cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """Multiple wp-function: iterated Eisenstein-ordered lattice sum over
     w_1 < ... < w_r of prod (z - w_s)^{-k_s} (inner n-limits accelerated by
     Richardson extrapolation over cfg.N, 2 cfg.N, 4 cfg.N); the
@@ -207,19 +206,18 @@ def multiwp_direct(index, z: complex, tau: complex,
 
 
 def multiwp_raw(index, z: complex, tau: complex,
-                cfg: EvalConfig | None = None) -> complex:
+                cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """Plain single-pass truncated sum over the whole rectangle (slowly
     convergent; kept as an independent cross-check of the split evaluator)."""
     index = Index(index)
     _require_admissible(index)
     tau = _check_tau(tau)
-    cfg = _as_cfg(cfg)
     return ordered_sum(LatticeRegion(tau, cfg.M, cfg.N), [complex(z)] * index.depth, list(index),
                        split_last=index[-1] == 2)[0]
 
 
 def multiwp_multivar(index, zs, tau: complex,
-                     cfg: EvalConfig | None = None) -> complex:
+                     cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """Multivariable wp: sum over w_1 < ... < w_r of prod (z_s - w_s)^{-k_s}."""
     index = Index(index)
     _require_admissible(index)
@@ -229,7 +227,7 @@ def multiwp_multivar(index, zs, tau: complex,
         raise ValueError("one z per index part")
     if any(abs(lattice_reduce(z, tau)[0]) < 1e-12 for z in zs):
         raise ZeroDivisionError("multiwp pole: some z_i on the lattice")
-    return _split_extrapolated(index, zs, tau, _as_cfg(cfg))
+    return _split_extrapolated(index, zs, tau, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +258,12 @@ class ReducedForm:
     def const_value(self, tau: complex) -> complex:
         return _terms_value(self.const_terms, tau)
 
-    def evaluate(self, z: complex, tau: complex, cfg: EvalConfig | None = None) -> complex:
+    def evaluate(self, z: complex, tau: complex) -> complex:
         """sum_n coeff_n(tau) wp_n(z) + const(tau): the coefficients by
-        `meis_qexp`, the wp_n by `wp_k` under cfg."""
-        cfg = _as_cfg(cfg)
+        `meis_qexp`, the wp_n by `wp_k`."""
         out = _terms_value(self.const_terms, tau)
         for n, terms in self.wp_terms:
-            out += _terms_value(terms, tau) * wp_k(n, z, tau, cfg)
+            out += _terms_value(terms, tau) * wp_k(n, z, tau)
         return out
 
     def coeff_combination(self, n: int) -> dict[Index, Fraction]:
@@ -343,27 +340,24 @@ class QFactor:
     xs: tuple[complex, ...]
     tau: complex
 
-    def value(self, z: complex, cfg: EvalConfig | None = None) -> complex:
-        """Q_{r,i} at z, each factor by `_tilde_taylor` to cfg.tol * 1e-4, with
-        its ValueError (some |x| > 0.45) and ConvergenceError."""
-        tol = _as_cfg(cfg).tol * 1e-4
+    def value(self, z: complex) -> complex:
+        """Q_{r,i} at z, each factor by `_tilde_taylor` to 1e-12, with its
+        ValueError (some |x| > 0.45) and ConvergenceError."""
         r, i, xs = self.r, self.i, self.xs
         a = _tilde_taylor(Index((2,) * (r - i)), [z - xs[j] for j in range(i, r)],
-                          self.tau, tol) if r > i else 1.0
+                          self.tau, 1e-12) if r > i else 1.0
         b = _tilde_taylor(Index((2,) * (i - 1)), [xs[j] - z for j in range(i - 2, -1, -1)],
-                          self.tau, tol) if i > 1 else 1.0
+                          self.tau, 1e-12) if i > 1 else 1.0
         return a * b
 
-    def dz(self, z: complex, cfg: EvalConfig | None = None) -> complex:
-        """Derivative by the 4th-order central stencil, h = tol^(1/3) max(1,|z|)."""
-        cfg = _as_cfg(cfg)
-        h = cfg.tol ** (1.0 / 3.0) * max(1.0, abs(z))
-        f = lambda u: self.value(u, cfg)
+    def dz(self, z: complex) -> complex:
+        """Derivative by the 4th-order central stencil, h = (1e-8)^(1/3) max(1,|z|)."""
+        h = 1e-8 ** (1.0 / 3.0) * max(1.0, abs(z))
+        f = self.value
         return (-f(z + 2 * h) + 8 * f(z + h) - 8 * f(z - h) + f(z - 2 * h)) / (12 * h)
 
 
-def antipode_residual(r: int, xs, tau: complex,
-                      cfg: EvalConfig | None = None) -> complex:
+def antipode_residual(r: int, xs, tau: complex) -> complex:
     """sum_i d/dx_i [ Q_{r,i}(x_i; tau; x) ], which vanishes identically;
     the returned value is the numerical residual."""
     if r < 1:
@@ -374,10 +368,9 @@ def antipode_residual(r: int, xs, tau: complex,
     if len({round(x.real, 9) + 1j * round(x.imag, 9) for x in xs}) != r:
         raise ValueError("points must be distinct")
     tau = _check_tau(tau)
-    cfg = _as_cfg(cfg)
     total = 0.0 + 0.0j
     for i in range(1, r + 1):
-        total += QFactor(r, i, tuple(xs), tau).dz(xs[i - 1], cfg)
+        total += QFactor(r, i, tuple(xs), tau).dz(xs[i - 1])
     return total
 
 
@@ -466,7 +459,7 @@ def multiwp22_fourier(r: int, z: complex, tau: complex) -> complex:
 
 
 def modular_transform_check(r: int, mat, z: complex, tau: complex,
-                            cfg: EvalConfig | None = None) -> float:
+                            cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """|LHS - RHS| of the weight-2r modular transformation law
 
     (c tau + d)^{-2r} wp_{2^r}(z/(c tau+d); (a tau+b)/(c tau+d))
@@ -478,7 +471,6 @@ def modular_transform_check(r: int, mat, z: complex, tau: complex,
     if r < 0:
         raise ValueError("r must be >= 0")
     tau = _check_tau(tau)
-    cfg = _as_cfg(cfg)
     z = complex(z)
     if r == 0:
         return 0.0

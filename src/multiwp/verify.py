@@ -53,17 +53,18 @@ def _sample_z(rng) -> complex:
     return complex(rng.uniform(0.12, 0.38), rng.uniform(0.08, 0.3))
 
 
+# the truncation of the direct sums that the suites check to 1e-5 .. 1e-7
+_FINE = EvalConfig(M=12, N=8000)
+
+
 # ---------------------------------------------------------------------------
 # criterion 1: the four depth<=3 example reductions
 # ---------------------------------------------------------------------------
 
-def suite_intro_reductions(seed: int = 0, n_points: int = 20,
-                           cfg: EvalConfig | None = None,
-                           tol: float = 1e-7) -> list[CheckResult]:
-    cfg = cfg or EvalConfig(M=12, N=8000)
+def suite_intro_reductions(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
-    for p in range(n_points):
+    for p in range(20):
         tau = _fundamental_tau(rng)
         z = _sample_z(rng)
         G2 = weier.eisenstein_G(2, tau)
@@ -78,16 +79,16 @@ def suite_intro_reductions(seed: int = 0, n_points: int = 20,
         }
         for ix, want in closed.items():
             t0 = time.time()
-            got = multip.multiwp_direct(ix, z, tau, cfg)
-            out.append(_check(f"intro {ix} pt{p}", abs(got - want), tol, t0))
+            got = multip.multiwp_direct(ix, z, tau, _FINE)
+            out.append(_check(f"intro {ix} pt{p}", abs(got - want), 1e-7, t0))
         # wp_{2,3} = Gt_2 wp_3 - 3 Gt_3 wp - 11 Gt_5 - 2 Gt_{2,3}
         # (the wp_3 normalization of the leading term, i.e. -Gt_2/2 times wp',
         #  is pinned by the reduction theorem and the direct sum)
         t0 = time.time()
         gt = lambda ix: meisen.meis_qexp(ix, tau)
         want = gt((2,)) * wp3 - 3 * gt((3,)) * wp - 11 * gt((5,)) - 2 * gt((2, 3))
-        got = multip.multiwp_direct((2, 3), z, tau, cfg)
-        out.append(_check(f"intro (2, 3) pt{p}", abs(got - want), tol, t0))
+        got = multip.multiwp_direct((2, 3), z, tau, _FINE)
+        out.append(_check(f"intro (2, 3) pt{p}", abs(got - want), 1e-7, t0))
     return out
 
 
@@ -102,21 +103,17 @@ def admissible_indices(max_weight: int, max_depth: int | None = None):
                 yield ix
 
 
-def suite_reduction_soundness(seed: int = 0, max_weight: int = 8,
-                              max_depth: int = 3, n_points: int = 5,
-                              tol: float = 1e-5,
-                              cfg: EvalConfig | None = None) -> list[CheckResult]:
-    cfg = cfg or EvalConfig(M=12, N=8000)
+def suite_reduction_soundness(seed: int = 0, max_weight: int = 8) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    points = [(_sample_z(rng), _fundamental_tau(rng)) for _ in range(n_points)]
+    points = [(_sample_z(rng), _fundamental_tau(rng)) for _ in range(5)]
     out = []
-    for ix in admissible_indices(max_weight, max_depth):
+    for ix in admissible_indices(max_weight, 3):
         rf = multip.multiwp_reduce(ix)
         for p, (z, tau) in enumerate(points):
             t0 = time.time()
-            got = multip.multiwp_direct(ix, z, tau, cfg)
-            want = rf.evaluate(z, tau, cfg)
-            out.append(_check(f"reduce {tuple(ix)} pt{p}", abs(got - want), tol, t0))
+            got = multip.multiwp_direct(ix, z, tau, _FINE)
+            want = rf.evaluate(z, tau)
+            out.append(_check(f"reduce {tuple(ix)} pt{p}", abs(got - want), 1e-5, t0))
     return out
 
 
@@ -142,12 +139,12 @@ def suite_table(max_weight: int = 12, min_weight: int = 2) -> list[CheckResult]:
 # criterion 4: multiple-zeta relations
 # ---------------------------------------------------------------------------
 
-def suite_mzv_relations(max_weight: int = 8, tol: float = 1e-6) -> list[CheckResult]:
+def suite_mzv_relations(max_weight: int = 8) -> list[CheckResult]:
     out = []
     for ix in admissible_indices(max_weight):
         t0 = time.time()
         r = relations.mzv_relation_residual(ix)
-        out.append(_check(f"mzv relation {tuple(ix)}", r, tol, t0))
+        out.append(_check(f"mzv relation {tuple(ix)}", r, 1e-6, t0))
     return out
 
 
@@ -155,9 +152,9 @@ def suite_mzv_relations(max_weight: int = 8, tol: float = 1e-6) -> list[CheckRes
 # criterion 5: antipode identities
 # ---------------------------------------------------------------------------
 
-def suite_antipode(seed: int = 0, tol: float = 1e-5, max_weight: int = 8,
-                   tau: complex = 2j) -> list[CheckResult]:
+def suite_antipode(seed: int = 0, max_weight: int = 8) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
+    tau, tol = 2j, 1e-5
     out = []
     for r in (1, 2, 3):
         t0 = time.time()
@@ -181,16 +178,13 @@ def suite_antipode(seed: int = 0, tol: float = 1e-5, max_weight: int = 8,
 # criterion 6: dual-pipeline agreement
 # ---------------------------------------------------------------------------
 
-def suite_dual_pipeline(max_weight: int = 7,
-                        taus=(1j, 2j, 0.5 + 2j),
-                        cfg: EvalConfig | None = None) -> list[CheckResult]:
-    cfg = cfg or EvalConfig(M=80, N=800)
+def suite_dual_pipeline(max_weight: int = 7) -> list[CheckResult]:
     out = []
-    for tau in taus:
+    for tau in (1j, 2j, 0.5 + 2j):
         for ix in admissible_indices(max_weight):
             t0 = time.time()
             qe = meisen.meis_qexp(ix, tau)
-            de, est = meisen.meis_direct_error(ix, tau, cfg)
+            de, est = meisen.meis_direct_error(ix, tau)
             combined = 3.0 * est + 1e-8 * (1 + abs(qe))
             out.append(_check(f"dual {tuple(ix)} tau={tau}", abs(qe - de), combined, t0))
     return out
@@ -222,13 +216,13 @@ def _reference_deriv_poly(k: int) -> WpPolynomial:
     return WpPolynomial(tables[k])
 
 
-def suite_depth_one(tol_legendre: float = 1e-10) -> list[CheckResult]:
+def suite_depth_one() -> list[CheckResult]:
     out = []
     for tau in (1j, (1 + 1j * np.sqrt(3)) / 2):
         t0 = time.time()
         e1, et = weier.quasi_periods(tau)
         out.append(_check(f"Legendre eta1*tau - eta_tau = 2 pi i (tau={tau:.3f})",
-                          abs(e1 * tau - et - 2j * np.pi), tol_legendre, t0))
+                          abs(e1 * tau - et - 2j * np.pi), 1e-10, t0))
     for k in range(1, 7):
         t0 = time.time()
         match = weier.wp_deriv_poly(k) == _reference_deriv_poly(k)
@@ -247,8 +241,7 @@ def suite_depth_one(tol_legendre: float = 1e-10) -> list[CheckResult]:
 # criterion 8: repeated-index closed forms
 # ---------------------------------------------------------------------------
 
-def suite_repeated_index(seed: int = 0, cfg: EvalConfig | None = None) -> list[CheckResult]:
-    cfg = cfg or EvalConfig(M=12, N=4000)
+def suite_repeated_index(seed: int = 0) -> list[CheckResult]:
     out = []
     G2, G4 = QuasiModular.gen(2), QuasiModular.gen(4)
     t0 = time.time()
@@ -266,7 +259,7 @@ def suite_repeated_index(seed: int = 0, cfg: EvalConfig | None = None) -> list[C
     t0 = time.time()
     closed = weier.repeated_index_closed_form(3, 3)
     want = weier.eval_wp_polynomial(closed, z, tau)
-    got = multip.multiwp_direct((3, 3, 3), z, tau, cfg)
+    got = multip.multiwp_direct((3, 3, 3), z, tau, EvalConfig(M=12, N=4000))
     out.append(_check("wp_{3,3,3} == -Tr(beta'; -G_6) wp_3 (numeric)",
                       abs(got - want), 1e-6, t0))
     return out
@@ -276,23 +269,21 @@ def suite_repeated_index(seed: int = 0, cfg: EvalConfig | None = None) -> list[C
 # criterion 9: Fourier expansion and modular transformation of wp_{2^r}
 # ---------------------------------------------------------------------------
 
-def suite_appendix_b(seed: int = 0, tol: float = 1e-6,
-                     cfg: EvalConfig | None = None) -> list[CheckResult]:
-    cfg = cfg or EvalConfig(M=12, N=8000)
+def suite_appendix_b(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
-    tau = 2j
+    tau, tol = 2j, 1e-6
     for r in (1, 2, 3):
         t0 = time.time()
         z = complex(rng.uniform(0.1, 0.4), rng.uniform(0.3, 0.7))
         vf = multip.multiwp22_fourier(r, z, tau)
-        vd = multip.multiwp_direct((2,) * r, z, tau, cfg)
+        vd = multip.multiwp_direct((2,) * r, z, tau, _FINE)
         out.append(_check(f"fourier wp_{{2^{r}}} vs direct", abs(vf - vd), tol, t0))
     for r in (0, 1, 2):
         for name, mat in (("T", (1, 1, 0, 1)), ("S", (0, -1, 1, 0))):
             t0 = time.time()
             z = complex(rng.uniform(0.15, 0.35), rng.uniform(0.1, 0.25))
-            res = multip.modular_transform_check(r, mat, z, tau, cfg)
+            res = multip.modular_transform_check(r, mat, z, tau, _FINE)
             out.append(_check(f"modular {name} r={r}", res, tol, t0))
     return out
 
@@ -301,8 +292,8 @@ def suite_appendix_b(seed: int = 0, tol: float = 1e-6,
 # criterion 10: property suites
 # ---------------------------------------------------------------------------
 
-def suite_properties(seed: int = 0, cfg: EvalConfig | None = None) -> list[CheckResult]:
-    cfg = cfg or EvalConfig(M=12, N=2000)
+def suite_properties(seed: int = 0) -> list[CheckResult]:
+    cfg = EvalConfig(M=12, N=2000)
     rng = np.random.default_rng(seed)
     out = []
 

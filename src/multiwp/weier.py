@@ -21,16 +21,11 @@ from math import comb, exp, factorial, log, pi
 
 import numpy as np
 
-from .core import (DEFAULT_CONFIG, ConvergenceError, EvalConfig, beta, beta_prime,
-                   partition_trace, phi_log)
+from .core import ConvergenceError, EvalConfig, beta, beta_prime, partition_trace, phi_log
 from .mzv import _em_power_list, _plist_eval, zeta_even_exact
 from .qmod import QuasiModular, WpPolynomial
 
 TWO_PI_I = 2j * pi
-
-
-def _as_cfg(cfg) -> EvalConfig:
-    return cfg if cfg is not None else DEFAULT_CONFIG
 
 
 def _check_tau(tau) -> complex:
@@ -101,9 +96,9 @@ def _g_even_qexp(k: int, tau: complex) -> complex:
     return 2 * zk + 2 * _lipschitz_amplitude(k) * complex(np.sum(sig[1:] * q**n))
 
 
-def _g_ball(k: int, tau: complex, B: int = 18) -> complex:
-    """G_k by a small direct lattice ball (high k: brutal |w|^-k decay)."""
-    m = np.arange(-B, B + 1)
+def _g_ball(k: int, tau: complex) -> complex:
+    """G_k by the direct lattice ball |m|, |n| <= 18 (high k: brutal |w|^-k decay)."""
+    m = np.arange(-18, 19)
     w = (m[:, None] * tau + m[None, :]).ravel()
     w = w[np.abs(w) > 1e-12]
     return complex(np.sum(w ** float(-k)))
@@ -172,7 +167,7 @@ def lipschitz_psi(k: int, x: complex) -> complex:
 # wp_k, wp, sigma, zeta
 # ---------------------------------------------------------------------------
 
-def wp_k(k: int, z: complex, tau: complex, cfg: EvalConfig | None = None) -> complex:
+def wp_k(k: int, z: complex, tau: complex) -> complex:
     """wp_k(z; tau): 1/z^k plus the (-1)^k/(k-1)! normalized (k-2)-th
     derivative structure; wp_2 = wp + G_2.  Fully periodic, poles on L.  The
     Taylor series for |z0| <= 0.72 rmin, else the row sums `_wp_k_rows`."""
@@ -184,7 +179,7 @@ def wp_k(k: int, z: complex, tau: complex, cfg: EvalConfig | None = None) -> com
         raise ZeroDivisionError("wp_k pole: z is a lattice point")
     if abs(z0) <= 0.72 * min_lattice_norm(tau):
         return _wp_k_series(k, z0, tau)
-    return _wp_k_rows(k, z0, tau, _as_cfg(cfg))
+    return _wp_k_rows(k, z0, tau)
 
 
 def _capped_series(terms, eps: float, what: str) -> complex:
@@ -201,38 +196,44 @@ def _capped_series(terms, eps: float, what: str) -> complex:
     raise ConvergenceError(f"{what} not converged in {count} terms: last term {abs(t):.2e}")
 
 
-def _wp_k_series(k: int, z0: complex, tau: complex, eps: float = 1e-17) -> complex:
-    """Taylor series of wp_k - 1/z^k at 0, to m <= 400 (the m = 0 term is
-    (-1)^k G_k); raises ConvergenceError when that cap comes first."""
+def _wp_k_series(k: int, z0: complex, tau: complex) -> complex:
+    """Taylor series of wp_k - 1/z^k at 0, to three terms in a row below
+    1e-17 (1 + |sum|) and m <= 400 (the m = 0 term is (-1)^k G_k); raises
+    ConvergenceError when that cap comes first."""
     terms = (comb(m + k - 1, k - 1) * eisenstein_G(m + k, tau) * z0**m
              for m in range(k % 2, 401, 2))
-    acc = _capped_series(terms, eps, f"_wp_k_series: wp_{k} series at z0 = {z0}")
+    acc = _capped_series(terms, 1e-17, f"_wp_k_series: wp_{k} series at z0 = {z0}")
     return z0 ** float(-k) + (-1) ** k * acc
 
 
-def _wp_k_rows(k: int, z0: complex, tau: complex, cfg: EvalConfig) -> complex:
-    """Eisenstein-ordered row sums: wp_k(z) = sum_m Psi_k(z - m tau), to the
-    first pair of rows below 1e-18 (1 + |sum|); raises ConvergenceError when
-    the cfg.M rows end first."""
-    total = _row_sum(z0, cfg.N, k)
-    for m in range(1, cfg.M):
-        t1 = _row_sum(z0 - m * tau, cfg.N, k)
-        t2 = _row_sum(z0 + m * tau, cfg.N, k)
+# rows |m| < cap of `_wp_k_rows`: enough for Im tau down to about 0.017
+_WP_K_ROWS_CAP = 400
+
+
+def _wp_k_rows(k: int, z0: complex, tau: complex) -> complex:
+    """Eisenstein-ordered row sums: wp_k(z) = sum_m Psi_k(z - m tau), each
+    row `_row_sum` at N = 800, to the first pair of rows below
+    1e-18 (1 + |sum|); raises ConvergenceError when the rows
+    |m| < `_WP_K_ROWS_CAP` end first."""
+    total = _row_sum(z0, 800, k)
+    for m in range(1, _WP_K_ROWS_CAP):
+        t1 = _row_sum(z0 - m * tau, 800, k)
+        t2 = _row_sum(z0 + m * tau, 800, k)
         total += t1 + t2
         if abs(t1) + abs(t2) < 1e-18 * (1 + abs(total)):
             return total
     raise ConvergenceError(f"_wp_k_rows: wp_{k} rows at z0 = {z0}, tau = {tau} not "
-                           f"converged in M = {cfg.M} rows")
+                           f"converged in the cap of {_WP_K_ROWS_CAP} rows")
 
 
-def wp(z: complex, tau: complex, cfg: EvalConfig | None = None) -> complex:
+def wp(z: complex, tau: complex) -> complex:
     """Classical Weierstrass wp = wp_2 - G_2."""
-    return wp_k(2, z, tau, cfg) - eisenstein_G(2, tau)
+    return wp_k(2, z, tau) - eisenstein_G(2, tau)
 
 
-def wp_prime(z: complex, tau: complex, cfg: EvalConfig | None = None) -> complex:
+def wp_prime(z: complex, tau: complex) -> complex:
     """wp'(z) = -2 wp_3(z)."""
-    return -2.0 * wp_k(3, z, tau, cfg)
+    return -2.0 * wp_k(3, z, tau)
 
 
 def sigma(z: complex, tau: complex) -> complex:
@@ -311,14 +312,15 @@ def quasi_periods(tau: complex) -> tuple[complex, complex]:
 # Laurent / Taylor extraction by Cauchy integrals
 # ---------------------------------------------------------------------------
 
-def laurent_coefficients(f, orders, radius: float, nodes: int | None = None):
+def laurent_coefficients(f, orders, radius: float):
     """Coefficients c_j of f(z) = sum c_j z^j for j in ``orders``.
 
-    Trapezoidal Cauchy integrals on |z| = radius; spectrally accurate for f
-    meromorphic with no singularity on or inside the circle except 0.
+    Trapezoidal Cauchy integrals on |z| = radius at 4 (max |j| + 8) nodes;
+    spectrally accurate for f meromorphic with no singularity on or inside
+    the circle except 0.
     """
     orders = list(orders)
-    Q = nodes or 4 * (max(abs(o) for o in orders) + 8)
+    Q = 4 * (max(abs(o) for o in orders) + 8)
     th = 2 * pi * np.arange(Q) / Q
     ring = radius * np.exp(1j * th)
     vals = np.array([f(complex(p)) for p in ring])
@@ -467,6 +469,5 @@ def g_value_fn(tau: complex):
     return g
 
 
-def eval_wp_polynomial(p: WpPolynomial, z: complex, tau: complex,
-                       cfg: EvalConfig | None = None) -> complex:
-    return p.evaluate(wp(z, tau, cfg), wp_prime(z, tau, cfg), g_value_fn(tau))
+def eval_wp_polynomial(p: WpPolynomial, z: complex, tau: complex) -> complex:
+    return p.evaluate(wp(z, tau), wp_prime(z, tau), g_value_fn(tau))

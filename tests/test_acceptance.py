@@ -1,7 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with  pytest tests/test_acceptance.py -v -s  (the whole suite completes
-in a few minutes on a laptop-class machine).
+Run with  pytest tests/test_acceptance.py -v -s  (about 10 s on a 2-vCPU VM).
 """
 import time
 
@@ -23,14 +22,13 @@ def _report(num: int, label: str, checks, budget: float, elapsed: float) -> None
 
 def test_criterion_1_intro_reductions():
     t0 = time.time()
-    checks = verify.suite_intro_reductions(seed=20260811, n_points=20, tol=1e-7)
+    checks = verify.suite_intro_reductions(seed=20260811)
     _report(1, "intro reductions at 20 random (z, tau)", checks, 120, time.time() - t0)
 
 
 def test_criterion_2_reduction_soundness():
     t0 = time.time()
-    checks = verify.suite_reduction_soundness(seed=2, max_weight=8, max_depth=3,
-                                              n_points=5, tol=1e-5)
+    checks = verify.suite_reduction_soundness(seed=2, max_weight=8)
     _report(2, "reduction vs direct sum, weight <= 8 depth <= 3", checks, 600,
             time.time() - t0)
 
@@ -50,27 +48,27 @@ def test_criterion_3_stretch_weights_13_16():
 
 def test_criterion_4_mzv_relations():
     t0 = time.time()
-    checks = verify.suite_mzv_relations(max_weight=8, tol=1e-6)
+    checks = verify.suite_mzv_relations(max_weight=8)
     _report(4, "multiple-zeta relations, weight <= 8", checks, 120, time.time() - t0)
 
 
 def test_criterion_5_antipode():
     t0 = time.time()
-    checks = verify.suite_antipode(seed=5, tol=1e-5, max_weight=8)
+    checks = verify.suite_antipode(seed=5, max_weight=8)
     _report(5, "antipode identities (Q-derivatives and formal relations)",
             checks, 120, time.time() - t0)
 
 
 def test_criterion_6_dual_pipeline():
     t0 = time.time()
-    checks = verify.suite_dual_pipeline(max_weight=7, taus=(1j, 2j, 0.5 + 2j))
+    checks = verify.suite_dual_pipeline(max_weight=7)
     _report(6, "direct vs q-expansion pipelines, weight <= 7", checks, 120,
             time.time() - t0)
 
 
 def test_criterion_7_depth_one():
     t0 = time.time()
-    checks = verify.suite_depth_one(tol_legendre=1e-10)
+    checks = verify.suite_depth_one()
     _report(7, "Legendre relation and derivative table", checks, 60, time.time() - t0)
 
 
@@ -82,7 +80,7 @@ def test_criterion_8_repeated_index():
 
 def test_criterion_9_appendix_b():
     t0 = time.time()
-    checks = verify.suite_appendix_b(seed=9, tol=1e-6)
+    checks = verify.suite_appendix_b(seed=9)
     _report(9, "Fourier expansion and modular transformation of wp_{2^r}",
             checks, 120, time.time() - t0)
 

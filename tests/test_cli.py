@@ -8,7 +8,8 @@ import pytest
 
 import multiwp
 from multiwp.cli import main, parse_complex, parse_index
-from multiwp.core import Index, compositions_ge2
+from multiwp import meisen
+from multiwp.core import EvalConfig, Index, compositions_ge2
 from multiwp.relations import antipode_relation
 
 
@@ -73,10 +74,19 @@ def test_eval_reports_the_truncation_it_swept(capsys):
     code, out = run_cli(["eval", "--fn", "meis-direct", "--index", "2,3", "--tau", "0.3+1.1i",
                          "-M", "3", "-N", "100", "--format", "json"], capsys)
     assert code == 0
-    assert json.loads(out)["truncation"] == {"rows": [3, 6], "N": [100, 200]}
+    report = json.loads(out)
+    assert report["truncation"] == {"rows": [3, 6], "N": [100, 200]}
+    est = meisen.meis_direct_error((2, 3), 0.3 + 1.1j, EvalConfig(M=3, N=100))[1]
+    assert report["error_estimate"] == est > 0
+    # N below the default M: M only caps the rows, and tau = i takes 8 of them
+    code, out = run_cli(["eval", "--fn", "multiwp", "--index", "2,2", "--z", "0.3+0.2i",
+                         "--tau", "i", "-N", "50", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["truncation"] == {
+        "rows_above_0": 8, "rows_below_0": 8, "N": [50, 100, 200]}
     # a route without a lattice sum reports none
     code, out = run_cli(["eval", "--fn", "meis", "--index", "2,3", "--format", "json"], capsys)
-    assert code == 0 and "truncation" not in json.loads(out)
+    assert code == 0 and "truncation" not in out and "error_estimate" not in out
 
 
 def test_table_csv(capsys):

@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 from fractions import Fraction
+from functools import partial
 
 from multiwp.core import DEFAULT_CONFIG, ConvergenceError, EvalConfig, Index, compositions_ge2
 from multiwp.qmod import QuasiModular, WpPolynomial
@@ -15,6 +16,7 @@ from multiwp.multip import (_multivar_split, _tilde_extrapolated, _tilde_kernel,
                             antipode_residual, fourier_c, modular_transform_check, multiwp22_fourier, multiwp_direct,
                             multiwp_multivar, multiwp_raw, multiwp_reduce, multiwp_tilde,
                             multiwp_tilde_fourier)
+from multiwp import verify
 from multiwp.verify import _wp_poly_matches_reduction
 
 TAU = 2j
@@ -86,23 +88,51 @@ def test_tilde_kernel_route_extrapolates(ix, x):
     assert abs(got - ref) <= 1e-7 * (1 + abs(ref))
 
 
-@pytest.mark.parametrize("call", [
-    lambda: weier.eisenstein_G(4, TAU, method="auto"),
-    lambda: weier.eisenstein_G(4, TAU, cfg=CFG),
-    lambda: weier.wp_k(2, Z, TAU, method="auto"),
-    lambda: weier.sigma(Z, TAU, method="auto"),
-    lambda: weier.sigma(Z, TAU, cfg=CFG),
-    lambda: weier.weier_zeta(Z, TAU, cfg=CFG),
-    lambda: weier.quasi_periods(TAU, cfg=CFG),
-    lambda: weier.g_value_fn(TAU, cfg=CFG),
-    lambda: meisen.monotangent(2, Z, method="auto"),
-    lambda: meisen.monotangent(2, Z, N=2000),
-    lambda: meisen.multitangent_reduce((2, 3)).evaluate(Z, method="auto"),
-    lambda: multiwp_tilde((2,), [0.2], TAU, method="auto"),
-], ids=["eisenstein_G-method", "eisenstein_G-cfg", "wp_k-method", "sigma-method",
-        "sigma-cfg", "weier_zeta-cfg", "quasi_periods-cfg", "g_value_fn-cfg",
-        "monotangent-method", "monotangent-N", "MultitangentReduction.evaluate-method",
-        "multiwp_tilde-method"])
+_QF = multip.QFactor(2, 1, (0.1 + 0.05j, -0.07 + 0.03j), TAU)
+_REMOVED = {
+    "eisenstein_G-method": lambda: weier.eisenstein_G(4, TAU, method="auto"),
+    "eisenstein_G-cfg": lambda: weier.eisenstein_G(4, TAU, cfg=CFG),
+    "wp_k-method": lambda: weier.wp_k(2, Z, TAU, method="auto"),
+    "sigma-method": lambda: weier.sigma(Z, TAU, method="auto"),
+    "sigma-cfg": lambda: weier.sigma(Z, TAU, cfg=CFG),
+    "weier_zeta-cfg": lambda: weier.weier_zeta(Z, TAU, cfg=CFG),
+    "quasi_periods-cfg": lambda: weier.quasi_periods(TAU, cfg=CFG),
+    "g_value_fn-cfg": lambda: weier.g_value_fn(TAU, cfg=CFG),
+    "monotangent-method": lambda: meisen.monotangent(2, Z, method="auto"),
+    "monotangent-N": lambda: meisen.monotangent(2, Z, N=2000),
+    "MultitangentReduction.evaluate-method":
+        lambda: meisen.multitangent_reduce((2, 3)).evaluate(Z, method="auto"),
+    "multiwp_tilde-method": lambda: multiwp_tilde((2,), [0.2], TAU, method="auto"),
+    # the routes that sum no lattice, and the oracles' fixed truncations
+    "wp_k-cfg": lambda: weier.wp_k(2, Z, TAU, cfg=CFG),
+    "wp-cfg": lambda: weier.wp(Z, TAU, cfg=CFG),
+    "wp_prime-cfg": lambda: weier.wp_prime(Z, TAU, cfg=CFG),
+    "eval_wp_polynomial-cfg": lambda: weier.eval_wp_polynomial(WpPolynomial.wp(), Z, TAU, cfg=CFG),
+    "ReducedForm.evaluate-cfg": lambda: multiwp_reduce((2, 2)).evaluate(Z, TAU, cfg=CFG),
+    "QFactor.value-cfg": lambda: _QF.value(0.0, cfg=CFG),
+    "QFactor.dz-cfg": lambda: _QF.dz(0.0, cfg=CFG),
+    "antipode_residual-cfg": lambda: antipode_residual(1, [0.1], TAU, cfg=CFG),
+    "laurent_coefficients-nodes": lambda: weier.laurent_coefficients(abs, [0], 0.1, nodes=8),
+    "_g_ball-B": lambda: weier._g_ball(42, TAU, B=18),
+    "_wp_k_series-eps": lambda: weier._wp_k_series(2, Z, TAU, eps=1e-17),
+    "g_function_direct-mmax": lambda: meisen.g_function_direct((2,), Z, TAU, mmax=40),
+    "g_function_direct-N": lambda: meisen.g_function_direct((2,), Z, TAU, N=4000),
+}
+_REMOVED.update({f"{suite}-{knob}": partial(getattr(verify, suite), **{knob: None})
+                 for suite, knobs in {
+                     "suite_intro_reductions": ("n_points", "cfg", "tol"),
+                     "suite_reduction_soundness": ("max_depth", "n_points", "tol", "cfg"),
+                     "suite_mzv_relations": ("tol",),
+                     "suite_antipode": ("tol", "tau"),
+                     "suite_dual_pipeline": ("taus", "cfg"),
+                     "suite_depth_one": ("tol_legendre",),
+                     "suite_repeated_index": ("cfg",),
+                     "suite_appendix_b": ("tol", "cfg"),
+                     "suite_properties": ("cfg",),
+                 }.items() for knob in knobs})
+
+
+@pytest.mark.parametrize("call", _REMOVED.values(), ids=_REMOVED.keys())
 def test_removed_parameters_raise_type_error(call):
     with pytest.raises(TypeError, match="unexpected keyword argument"):
         call()
@@ -283,7 +313,7 @@ def test_reduce_reversal_view():
 def test_reduce_matches_direct_numerically():
     for ix in [(2, 2), (2, 3), (3, 3), (2, 2, 2), (4, 2), (2, 4), (3, 2, 2)]:
         rf = multiwp_reduce(ix)
-        got = rf.evaluate(Z, TAU, FINE)
+        got = rf.evaluate(Z, TAU)
         want = multiwp_direct(ix, Z, TAU, FINE)
         assert abs(got - want) < 1e-6, ix
 
@@ -321,7 +351,7 @@ def test_reduced_evaluate_raises_where_meis_qexp_does():
     with pytest.raises(QOrderError, match="above the cap of 64"):
         meis_qexp((2, 2), 0.1j)
     with pytest.raises(QOrderError, match="above the cap of 64"):
-        multiwp_reduce((2, 2)).evaluate(0.03 + 0.02j, 0.1j, CFG)
+        multiwp_reduce((2, 2)).evaluate(0.03 + 0.02j, 0.1j)
 
 
 def test_harmonic_product_numeric():
@@ -366,13 +396,13 @@ def test_generating_function_identity():
 
 def test_antipode_residual():
     rng = np.random.default_rng(7)
-    assert antipode_residual(1, [0.1 + 0.05j], TAU, CFG) == 0
+    assert antipode_residual(1, [0.1 + 0.05j], TAU) == 0
     for r, tol in [(2, 1e-6), (3, 1e-5)]:
         xs = [complex(a, b) for a, b in
               zip(0.08 * rng.standard_normal(r), 0.08 * rng.standard_normal(r))]
-        assert abs(antipode_residual(r, xs, TAU, CFG)) < tol
+        assert abs(antipode_residual(r, xs, TAU)) < tol
     with pytest.raises(ValueError):
-        antipode_residual(2, [0.1, 0.1], TAU, CFG)
+        antipode_residual(2, [0.1, 0.1], TAU)
 
 
 def test_fourier_coefficients():
@@ -418,10 +448,10 @@ def test_qfactor_degenerate_and_pole_guard():
     q1 = QFactor(2, 1, xs, TAU)
     # Q_{2,1} is a single tilde factor: tilde_2(z - x_2)
     z = 0.02 + 0.01j
-    want = _tilde_taylor(Index((2,)), [z - xs[1]], TAU, CFG.tol * 1e-4)
-    assert abs(q1.value(z, CFG) - want) < 1e-12
+    want = _tilde_taylor(Index((2,)), [z - xs[1]], TAU, 1e-12)
+    assert abs(q1.value(z) - want) < 1e-12
     with pytest.raises(ValueError, match="needs all"):  # |z - x_2| = 0.9 > 0.45
-        QFactor(2, 1, (0.1, 0.9), TAU).value(0.0, CFG)
+        QFactor(2, 1, (0.1, 0.9), TAU).value(0.0)
     with pytest.raises(ZeroDivisionError):
         multiwp_tilde((2,), [1.0 + 0j], TAU, CFG)
     with pytest.raises(ZeroDivisionError):

@@ -96,7 +96,7 @@ def test_wp_k_basics():
         assert abs(wp_k(3, z, TAU) + 0.5 * wp_prime(z, TAU)) < 1e-12
     # lattice-sum oracle
     v1 = wp_k(4, 0.4, 1j)
-    v2 = weier._wp_k_rows(4, 0.4 + 0j, 1j, EvalConfig(M=40, N=4000))
+    v2 = weier._wp_k_rows(4, 0.4 + 0j, 1j)
     assert abs(v1 - v2) < 1e-10
     # periodicity through the quasi-period reduction
     assert abs(wp_k(2, Z + 3 + 2 * TAU, TAU) - wp_k(2, Z, TAU)) < 1e-12
@@ -259,14 +259,17 @@ def test_series_caps_raise():
     assert abs(weier.lipschitz_psi(2, z) - direct) < 1e-4 * abs(direct)
 
 
-def test_wp_k_rows_cap_raises():
-    # at Im tau = 0.05 the rows decay slowly: 80 rows stop 1.5e-12 short, 400 converge
+def test_wp_k_rows_cap_raises(monkeypatch):
+    # at Im tau = 0.05 the rows decay slowly, but converge inside the cap
     z, tau = 0.3 + 0.02j, 0.1 + 0.05j
-    with pytest.raises(ConvergenceError, match=r"wp_4 rows at z0 = \(0\.3\+0\.02j\), "
-                       r"tau = \(0\.1\+0\.05j\) not converged in M = 80 rows"):
-        wp_k(4, z, tau)
-    v400 = wp_k(4, z, tau, EvalConfig(M=400))
-    assert abs(v400 - wp_k(4, z, tau, EvalConfig(M=600))) < 1e-14 * abs(v400)
+    v = wp_k(4, z, tau)
+    with monkeypatch.context() as mp:
+        mp.setattr(weier, "_WP_K_ROWS_CAP", 600)
+        assert abs(v - weier._wp_k_rows(4, z, tau)) < 1e-14 * abs(v)
+    # at Im tau = 0.01 they would need about 750 rows
+    with pytest.raises(ConvergenceError, match=r"wp_4 rows at z0 = \(0\.3\+0\.002j\), "
+                       r"tau = \(0\.1\+0\.01j\) not converged in the cap of 400 rows"):
+        wp_k(4, 0.3 + 0.002j, 0.1 + 0.01j)
 
 
 def test_g_even_qexp_cap_raises_for_this_k():
