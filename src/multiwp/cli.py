@@ -146,10 +146,8 @@ def cmd_eval(args) -> int:
         val = meisen.meis_qexp(index, tau)
     elif fn == "meis-direct":
         val, est = meisen.meis_direct_error(index, tau, cfg)
-        zeros = [0.0] * index.depth
-        swept["truncation"] = {"rows": [meisen.tilde_rows(zeros, tau, m)
-                                        for m in (cfg.M, 2 * cfg.M)],
-                               "N": [cfg.N, 2 * cfg.N]}
+        swept["truncation"] = {"rows": meisen.tilde_rows([0.0] * index.depth, tau, cfg.M),
+                               "N": [cfg.N, 2 * cfg.N, 4 * cfg.N]}
         swept["error_estimate"] = est
     elif fn == "wpk":
         val = weier.wp_k(index[0], z, tau)

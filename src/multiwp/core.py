@@ -10,7 +10,7 @@ construction and safe to share between threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -489,7 +489,10 @@ class EvalConfig:
     sweep's shifts (at least 0), as `meisen.tilde_rows` counts them.  In the
     N -> oo limit a row m enters only through multitangent factors of that
     size, so a row past them adds nothing but its N-truncation residue,
-    which is error.  `multiwp_raw`, the plain cross-check, sweeps all M rows.
+    which is error.  Each of them sweeps once over the 4N region, whose
+    levels N, 2N and 4N the Richardson step `meisen._richardson` turns into
+    a value and an error estimate.  `multiwp_raw`, the plain cross-check,
+    sweeps all M rows at N alone.
     """
 
     M: int = 80
@@ -501,12 +504,6 @@ class EvalConfig:
             raise ValueError("need M >= 1 and N >= 2")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
-
-    def refined(self) -> "EvalConfig":
-        return replace(self, M=2 * self.M, N=2 * self.N)
-
-    def with_(self, **kw) -> "EvalConfig":
-        return replace(self, **kw)
 
 
 DEFAULT_CONFIG = EvalConfig()

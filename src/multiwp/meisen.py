@@ -137,50 +137,47 @@ def tilde_rows(xs, tau: complex, M: int) -> int:
     return min(M, max(1, ceil((h + _ROW_DECAY) / complex(tau).imag)))
 
 
-def _tilde_sweep(index: Index, xs, tau: complex, cfg: EvalConfig, coarser=()) -> tuple:
-    """The ``ordered_sum`` arguments of the sweep over the lattice points
+def _tilde_sweep(index: Index, xs, tau: complex, cfg: EvalConfig) -> tuple:
+    """The ``ordered_sum`` arguments of the one sweep over the lattice points
     w > 0 that gives the truncated restricted sums of index[s:] at xs[s:]
-    (trailing-2 telescoping split); at xs = 0 the full one is the truncated
-    sum over 0 < w_1 < ... < w_r of `meis_direct`.  The points are a
-    `LatticeRegion`, which the sweep makes block by block, of
-    ``tilde_rows(xs, tau, cfg.M)`` rows.  With configs ``coarser``, whose
-    rectangles lie inside cfg's, the one sweep gives these sums under cfg
-    and under each of them, in that order, each over its own
-    ``tilde_rows`` rows."""
+    (trailing-2 telescoping split) at three levels: to 4 cfg.N, 2 cfg.N and
+    cfg.N, in that order, all over ``tilde_rows(xs, tau, cfg.M)`` rows.  At
+    xs = 0 the full one is the sum over 0 < w_1 < ... < w_r of
+    `meis_direct`.  The points are a `LatticeRegion` of the 4 cfg.N
+    rectangle, which the sweep makes block by block; `_richardson` turns
+    the levels into a value and an error estimate."""
     xs = [complex(x) for x in xs]
-    M = tilde_rows(xs, tau, cfg.M)
-    sweep = (LatticeRegion.above_zero(tau, M, cfg.N), xs, list(index), index[-1] == 2, 0.0)
-    if not coarser:
-        return sweep
-    return sweep + ([positive_runs(M, cfg.N, tilde_rows(xs, tau, c.M), c.N)
-                     for c in (cfg, *coarser)],)
+    M, N = tilde_rows(xs, tau, cfg.M), 4 * cfg.N
+    return (LatticeRegion.above_zero(tau, M, N), xs, list(index), index[-1] == 2, 0.0,
+            [positive_runs(M, N, M, n) for n in (N, 2 * cfg.N, cfg.N)])
+
+
+def _richardson(v4: complex, v2: complex, v1: complex) -> tuple[complex, float]:
+    """(value, estimate) of the N -> oo limit of a sum at 4N, 2N and N whose
+    truncation error is a/N + b/N^2 + ...: the value R3 removes both leading
+    orders and leaves an N^-3 term; the estimate is its distance from the
+    two-level extrapolation 2 v4 - v2, which removes only the first."""
+    value = (8.0 * v4 - 6.0 * v2 + v1) / 3.0
+    return value, abs(value - (2.0 * v4 - v2))
 
 
 def meis_direct(index, tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """Multiple Eisenstein series by the truncated iterated lattice sum
-    (inner n-limits before outer m-limits; trailing-2 telescoping split)."""
-    index = Index(index)
-    _require_admissible(index)
-    tau = _check_tau(tau)
-    sweep = _tilde_sweep(index, [0.0] * index.depth, tau, cfg)
-    return (-1) ** (index.weight % 2) * ordered_sum(*sweep)[0]
+    """Multiple Eisenstein series by the iterated lattice sum (inner n-limits
+    before outer m-limits; trailing-2 telescoping split), Richardson-
+    extrapolated over cfg.N, 2 cfg.N, 4 cfg.N: `meis_direct_error`'s value."""
+    return meis_direct_error(index, tau, cfg)[0]
 
 
 def meis_direct_error(index, tau: complex,
                       cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[complex, float]:
-    """(refined value, Cauchy-difference error estimate); one sweep over the
-    refined region gives both sums.  The refined sum runs to 2 cfg.N over
-    `tilde_rows` at zero shifts capped by 2 cfg.M, the coarse one to cfg.N
-    over the same rows capped by cfg.M: when cfg.M does not cap them, the
-    two share their rows and the estimate measures only the change in N."""
+    """(value, error estimate) of `_richardson` over the three levels of one
+    `_tilde_sweep` at zero shifts."""
     index = Index(index)
     _require_admissible(index)
     tau = _check_tau(tau)
-    zeros = [0.0] * index.depth
-    fine, coarse = ordered_sum(*_tilde_sweep(index, zeros, tau, cfg.refined(), [cfg]))
-    sign = (-1) ** (index.weight % 2)
-    v1, v2 = sign * coarse[0], sign * fine[0]
-    return v2, abs(v2 - v1)
+    levels = ordered_sum(*_tilde_sweep(index, [0.0] * index.depth, tau, cfg))
+    value, estimate = _richardson(*(out[0] for out in levels))
+    return (-1) ** (index.weight % 2) * value, estimate
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from math import comb, factorial, inf, log
 from .core import (DEFAULT_CONFIG, ConvergenceError, EvalConfig, Index, compositions_fixed,
                    couplings, stuffle_expand)
 from .kernels import LatticeRegion, ordered_sum, ordered_sums
-from .meisen import (_amplitude_matrix, _require_admissible, _strip_p_matrix, _suffix_dp,
-                     _tilde_sweep, g_function, meis_qexp, multitangent_reduce)
+from .meisen import (_amplitude_matrix, _require_admissible, _richardson, _strip_p_matrix,
+                     _suffix_dp, _tilde_sweep, g_function, meis_qexp, multitangent_reduce)
 from .mzv import _hurwitz_prefixes
 from .weier import TWO_PI_I, _check_tau, lattice_reduce, lipschitz_psi, wp_k
 
@@ -36,30 +36,10 @@ __all__ = [
 # restricted multivariable wp
 # ---------------------------------------------------------------------------
 
-def _tilde_kernel(index: Index, xs, tau: complex, cfg: EvalConfig) -> list[complex]:
-    """The truncated restricted sums of index[s:] at xs[s:], for every s, from
-    one kernel sweep over the lattice points w > 0, at the one truncation
-    cfg.N."""
-    return ordered_sum(*_tilde_sweep(index, xs, tau, cfg))
-
-
-def _richardson_sweep(index: Index, xs, tau: complex, cfg: EvalConfig) -> tuple:
-    """The ``ordered_sum`` arguments of the one sweep over the 4N region
-    whose three levels are the restricted sums under 4N, 2N and N."""
-    return _tilde_sweep(index, xs, tau, cfg.with_(N=4 * cfg.N),
-                        (cfg.with_(N=2 * cfg.N), cfg))
-
-
-def _richardson(v4: complex, v2: complex, v1: complex) -> complex:
-    """The N -> oo limit of a sum at 4N, 2N and N whose truncation error is
-    a/N + b/N^2 + ...: both leading orders removed, an N^-3 term left."""
-    return (8.0 * v4 - 6.0 * v2 + v1) / 3.0
-
-
 def _tilde_extrapolated(index: Index, xs, tau: complex, cfg: EvalConfig) -> complex:
     """The restricted sum of the whole index at xs, Richardson-extrapolated
     from one three-level sweep."""
-    return _richardson(*(out[0] for out in ordered_sum(*_richardson_sweep(index, xs, tau, cfg))))
+    return _richardson(*(out[0] for out in ordered_sum(*_tilde_sweep(index, xs, tau, cfg))))[0]
 
 
 def _tilde_taylor(index: Index, xs, tau: complex, tol: float, max_order: int = 26) -> complex:
@@ -185,9 +165,9 @@ def _split_extrapolated(index: Index, zs, tau: complex, cfg: EvalConfig) -> comp
     """
     if index.depth == 0:
         return 1.0 + 0.0j
-    fwd, rev = ordered_sums([_richardson_sweep(ix, xs, tau, cfg)
+    fwd, rev = ordered_sums([_tilde_sweep(ix, xs, tau, cfg)
                              for ix, xs in _split_chains(index, zs)])
-    return _richardson(*(_multivar_split(index, zs, f, r) for f, r in zip(fwd, rev)))
+    return _richardson(*(_multivar_split(index, zs, f, r) for f, r in zip(fwd, rev)))[0]
 
 
 def multiwp_direct(index, z: complex, tau: complex,

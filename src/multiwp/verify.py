@@ -438,6 +438,8 @@ def run_suite(name: str, **kw) -> list[CheckResult]:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     import inspect
-    fn = SUITES[name]
-    accepted = set(inspect.signature(fn).parameters)
-    return fn(**{k: v for k, v in kw.items() if k in accepted})
+    params = {s: set(inspect.signature(fn).parameters) for s, fn in SUITES.items()}
+    unknown = set(kw).difference(*params.values())
+    if unknown:
+        raise TypeError(f"no suite takes the keyword(s) {sorted(unknown)}")
+    return SUITES[name](**{k: v for k, v in kw.items() if k in params[name]})

@@ -8,7 +8,7 @@ import pytest
 
 import multiwp
 from multiwp.cli import main, parse_complex, parse_index
-from multiwp import meisen
+from multiwp import meisen, verify
 from multiwp.core import EvalConfig, Index, compositions_ge2
 from multiwp.relations import antipode_relation
 
@@ -70,12 +70,12 @@ def test_eval_reports_the_truncation_it_swept(capsys):
         assert code == 0
         assert json.loads(out)["truncation"] == {
             "rows_above_0": rows[0], "rows_below_0": rows[1], "N": [500, 1000, 2000]}
-    # meis-direct: the coarse and refined levels, capped by M and 2M
+    # meis-direct: the one sweep's rows, capped by M, and its three levels
     code, out = run_cli(["eval", "--fn", "meis-direct", "--index", "2,3", "--tau", "0.3+1.1i",
                          "-M", "3", "-N", "100", "--format", "json"], capsys)
     assert code == 0
     report = json.loads(out)
-    assert report["truncation"] == {"rows": [3, 6], "N": [100, 200]}
+    assert report["truncation"] == {"rows": 3, "N": [100, 200, 400]}
     est = meisen.meis_direct_error((2, 3), 0.3 + 1.1j, EvalConfig(M=3, N=100))[1]
     assert report["error_estimate"] == est > 0
     # N below the default M: M only caps the rows, and tau = i takes 8 of them
@@ -129,6 +129,16 @@ def test_verify_exit_codes(capsys):
     code, out = run_cli(["verify", "--suite", "depth-one"], capsys)
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_run_suite_rejects_a_keyword_no_suite_takes():
+    for kw in ({"bogus": 1}, {"tol_legendre": 1e-30}):
+        for suite in ("depth-one", "all"):
+            with pytest.raises(TypeError, match="no suite takes"):
+                verify.run_suite(suite, **kw)
+    # a keyword that only other suites take is left out of this one's call
+    assert len(verify.run_suite("depth-one", seed=0, max_weight=8)) == len(
+        verify.run_suite("depth-one"))
 
 
 def test_bad_arguments_exit_2(capsys):

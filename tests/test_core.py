@@ -205,7 +205,6 @@ def test_series_exp_log_roundtrip():
 def test_eval_config_validation():
     cfg = EvalConfig()
     assert cfg.M == 80 and cfg.N == 800
-    assert cfg.refined().M == 160 and cfg.refined().N == 1600
     assert EvalConfig(M=10, N=5).M == 10  # M is a cap on the rows, not tied to N
     with pytest.raises(ValueError):     # no lattice point w > 0
         EvalConfig(M=1, N=1)

@@ -14,7 +14,7 @@ from multiwp.core import EvalConfig, Index, compositions_ge2
 from multiwp.kernels import (LatticeRegion, kahan_cumsum, lattice_sorted, ordered_sum,
                              ordered_sums, positive_runs)
 from multiwp.meisen import meis_direct
-from multiwp.multip import _multivar_split, _tilde_kernel, multiwp_direct
+from multiwp.multip import _multivar_split, multiwp_direct
 
 
 def test_lattice_sorted_order():
@@ -533,8 +533,9 @@ def test_two_sweep_split_equals_one_call_per_factor(ix):
     cfg = EvalConfig(M=4, N=60)
     zs = [0.21 + 0.13j, -0.17 + 0.29j, 0.33 - 0.11j, 0.05 + 0.4j][:len(ix)]
     index = Index(ix)
-    fwd = _tilde_kernel(index, zs, tau, cfg)
-    rev = _tilde_kernel(index.reversed(), [-z for z in reversed(zs)], tau, cfg)
+    # the level N of each chain's three-level sweep
+    fwd, rev = (ordered_sum(*meisen._tilde_sweep(chain, shifts, tau, cfg))[2]
+                for chain, shifts in multip._split_chains(index, zs))
     assert _multivar_split(index, zs, fwd, rev) == _split_one_factor_per_call(index, zs, tau, cfg)
 
 

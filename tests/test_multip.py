@@ -12,7 +12,7 @@ from multiwp import meisen, multip, weier
 from multiwp.meisen import QOrderError, meis_direct, meis_qexp
 from multiwp.mzv import _mzv_cached
 from multiwp.kernels import LatticeRegion, ordered_sum, positive_runs
-from multiwp.multip import (_multivar_split, _tilde_extrapolated, _tilde_kernel, _tilde_taylor,
+from multiwp.multip import (_multivar_split, _tilde_extrapolated, _tilde_taylor,
                             antipode_residual, fourier_c, modular_transform_check, multiwp22_fourier, multiwp_direct,
                             multiwp_multivar, multiwp_raw, multiwp_reduce, multiwp_tilde,
                             multiwp_tilde_fourier)
@@ -23,6 +23,15 @@ TAU = 2j
 Z = 0.31 + 0.17j
 CFG = EvalConfig(M=12, N=2000)
 FINE = EvalConfig(M=12, N=8000)
+
+
+def _tilde_kernel(index, xs, tau, cfg):
+    """The single-level reference: the restricted sums of index[s:] at
+    xs[s:], for every s, from one kernel sweep to cfg.N over the rows that
+    `meisen.tilde_rows` counts."""
+    xs = [complex(x) for x in xs]
+    region = LatticeRegion.above_zero(tau, meisen.tilde_rows(xs, tau, cfg.M), cfg.N)
+    return ordered_sum(region, xs, list(index), index[-1] == 2, 0.0)
 
 
 def test_depth_one_coincides_with_wp_k():
@@ -210,7 +219,7 @@ def _serial_split_extrapolated(index, zs, tau, cfg):
     if index.depth == 0:
         return 1.0 + 0.0j
     v = []
-    for c in (cfg, cfg.with_(N=2 * cfg.N), cfg.with_(N=4 * cfg.N)):
+    for c in (EvalConfig(M=cfg.M, N=n) for n in (cfg.N, 2 * cfg.N, 4 * cfg.N)):
         fwd = _tilde_kernel(index, zs, tau, c)
         rev = _tilde_kernel(index.reversed(), [-z for z in reversed(zs)], tau, c)
         v.append(_multivar_split(index, zs, fwd, rev))
