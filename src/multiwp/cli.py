@@ -9,7 +9,6 @@ import argparse
 import csv
 import io
 import json
-import re
 import sys
 from fractions import Fraction
 
@@ -146,8 +145,8 @@ def cmd_eval(args) -> int:
         val = meisen.meis_qexp(index, tau)
     elif fn == "meis-direct":
         val, est = meisen.meis_direct_error(index, tau, cfg)
-        swept["truncation"] = {"rows": meisen.tilde_rows([0.0] * index.depth, tau, cfg.M),
-                               "N": [cfg.N, 2 * cfg.N, 4 * cfg.N]}
+        rows = meisen.tilde_rows([0.0] * index.depth, tau, cfg.M) if index.depth else 0
+        swept["truncation"] = {"rows": rows, "N": [cfg.N, 2 * cfg.N, 4 * cfg.N]}
         swept["error_estimate"] = est
     elif fn == "wpk":
         val = weier.wp_k(index[0], z, tau)

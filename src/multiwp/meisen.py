@@ -175,6 +175,8 @@ def meis_direct_error(index, tau: complex,
     index = Index(index)
     _require_admissible(index)
     tau = _check_tau(tau)
+    if index.depth == 0:
+        return 1.0 + 0.0j, 0.0
     levels = ordered_sum(*_tilde_sweep(index, [0.0] * index.depth, tau, cfg))
     value, estimate = _richardson(*(out[0] for out in levels))
     return (-1) ** (index.weight % 2) * value, estimate

@@ -192,6 +192,8 @@ def multiwp_raw(index, z: complex, tau: complex,
     index = Index(index)
     _require_admissible(index)
     tau = _check_tau(tau)
+    if index.depth == 0:
+        return 1.0 + 0.0j
     return ordered_sum(LatticeRegion(tau, cfg.M, cfg.N), [complex(z)] * index.depth, list(index),
                        split_last=index[-1] == 2)[0]
 

@@ -6,14 +6,16 @@ relations among multiple Eisenstein series.  The antipode relations come
 from the vanishing derivative sum of the restricted-wp product factors;
 their stuffle closure is spanned, by bilinearity and associativity, by
 products with single indices, and exact integer row reduction gives the
-rank of the relation space in each weight.  Every antipode coefficient is
-an integer, so the rows are built and reduced in Python ints; a Fraction
-appears only for a coefficient that is not integral.  Each weight has one
-column order, and the rows are dense int lists over it, built from a
-per-pair stuffle table in column form and reduced against sparse pivot
-rows.  An antipode coefficient has n_i = 1 and factorises into a sign and
-the couplings of its left and right words, which come from the coupling
-table of core.  A reversed source gives the same relation up to sign,
+rank of the relation space in each weight.  Each weight has one column
+order, and every combination is a dense row of Python ints over it with
+one positive common denominator; every antipode coefficient is an integer,
+so each row the engine makes has denominator 1, and a Fraction appears
+only in the terms of a combination with a larger one.  The rows are built
+from a per-pair stuffle table in column form, and RelationMatrix reduces
+them against sparse pivot rows.  An antipode coefficient has n_i = 1 and
+factorises into a sign and the couplings of its left and right words,
+which come from the coupling table of core.  A reversed source gives the
+same relation up to sign,
 antipode_relation(k[::-1]) == (-1)^{|k|-1} antipode_relation(k), so one
 source of each mirror pair is used.
 """
@@ -21,10 +23,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, pi
+from math import comb, factorial, gcd, lcm, pi
 
 from .core import (Index, TruncatedSeries, _coupled_words, _stuffle_words, bernoulli,
-                   compositions_ge2, couplings, stuffle_expand)
+                   compositions_ge2, couplings)
 from .mzv import mzv
 from .meisen import meis_qexp
 from .weier import eisenstein_G
@@ -47,11 +49,12 @@ def _exact(c) -> int | Fraction:
 class SymbolicCombination:
     """Weight-homogeneous rational combination of admissible indices.
 
-    Coefficients are ints where integral and Fractions otherwise.  The exact
-    engine builds its integer combinations as dense rows over the column
-    order of their weight; such a combination makes its terms on first use."""
+    It is held as a dense int row over the column order of its weight and
+    one positive common denominator, with no common factor between them.
+    Its terms are ints where integral and Fractions otherwise; one built
+    from a dict keeps those terms, any other makes them on first use."""
 
-    __slots__ = ("_terms", "_row", "weight")
+    __slots__ = ("_row", "_den", "_terms", "weight")
 
     def __init__(self, terms: dict | None = None):
         out: dict[Index, int | Fraction] = {}
@@ -68,22 +71,28 @@ class SymbolicCombination:
             elif ix.weight != w:
                 raise ValueError("mixed weights in one combination")
             out[ix] = c
-        self._terms, self._row, self.weight = out, None, w
+        den = lcm(*(c.denominator for c in out.values()))
+        row = [int(out.get(ix, 0) * den) for ix in _columns(w)[0]] if out else []
+        self._row, self._den, self._terms, self.weight = row, den, out, w
 
     @classmethod
-    def _from_row(cls, row: list, weight: int) -> "SymbolicCombination":
-        """The combination of a dense integer row over _columns(weight)."""
+    def _from_row(cls, row: list, den: int, weight: int) -> "SymbolicCombination":
+        """The combination row / den over _columns(weight), den > 0."""
         if not any(row):
             return cls()
+        if den != 1:
+            g = gcd(den, *row)
+            row, den = [v // g for v in row], den // g
         self = cls.__new__(cls)
-        self._terms, self._row, self.weight = None, row, weight
+        self._row, self._den, self._terms, self.weight = row, den, None, weight
         return self
 
     @property
     def terms(self) -> dict[Index, int | Fraction]:
         if self._terms is None:
-            order = _columns(self.weight)[0]
-            self._terms = {order[col]: c for col, c in enumerate(self._row) if c}
+            order, den = _columns(self.weight)[0], self._den
+            self._terms = {order[col]: c if den == 1 else _exact(Fraction(c, den))
+                           for col, c in enumerate(self._row) if c}
         return self._terms
 
     def __bool__(self) -> bool:
@@ -91,21 +100,26 @@ class SymbolicCombination:
 
     def __len__(self) -> int:
         """The number of nonzero terms."""
-        return len(self._terms) if self._row is None else len(self._row) - self._row.count(0)
+        return len(self._row) - self._row.count(0)
 
     def __add__(self, other: "SymbolicCombination") -> "SymbolicCombination":
-        out = dict(self.terms)
-        for ix, c in other.terms.items():
-            s = out.get(ix, 0) + c
-            if s:
-                out[ix] = s
-            elif ix in out:
-                del out[ix]
-        return SymbolicCombination(out)
+        if not other:
+            return self
+        if not self:
+            return other
+        if other.weight != self.weight:
+            raise ValueError("mixed weights in one combination")
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        row = [fa * a + fb * b for a, b in zip(self._row, other._row)]
+        return SymbolicCombination._from_row(row, den, self.weight)
 
     def scale(self, c) -> "SymbolicCombination":
         c = Fraction(c)
-        return SymbolicCombination({ix: c * v for ix, v in self.terms.items()})
+        if not (c and self):
+            return SymbolicCombination()
+        return SymbolicCombination._from_row([c.numerator * v for v in self._row],
+                                             self._den * c.denominator, self.weight)
 
     def stuffle_mul(self, u: Index) -> "SymbolicCombination":
         """Multiply by the symbol of index u (quasi-shuffle expansion)."""
@@ -115,19 +129,12 @@ class SymbolicCombination:
         if not u.admissible:
             raise ValueError(f"non-admissible symbol {tuple(u)}")
         weight = self.weight + u.weight
-        if self._row is None and not all(type(c) is int for c in self.terms.values()):
-            return SymbolicCombination(
-                stuffle_expand((c, (u, ix)) for ix, c in self.terms.items()))
-        if self._row is None:
-            items = self.terms.items()
-        else:
-            order = _columns(self.weight)[0]
-            items = ((order[col], c) for col, c in enumerate(self._row) if c)
         row = [0] * len(_columns(weight)[0])
-        for ix, c in items:
-            for col, m in zip(*_stuffle_columns(u, ix)):
-                row[col] += c * m
-        return SymbolicCombination._from_row(row, weight)
+        for ix, c in zip(_columns(self.weight)[0], self._row):
+            if c:
+                for col, m in zip(*_stuffle_columns(u, ix)):
+                    row[col] += c * m
+        return SymbolicCombination._from_row(row, self._den, weight)
 
     def evaluate(self, tau: complex) -> complex:
         return sum(complex(c) * meis_qexp(ix, tau)
@@ -172,7 +179,7 @@ def antipode_relation(source) -> SymbolicCombination:
                     c = ca * cb
                     for col, m in zip(*_stuffle_columns(a, b)):
                         row[col] += c * m
-    return SymbolicCombination._from_row(row, weight)
+    return SymbolicCombination._from_row(row, 1, weight)
 
 
 def _mirror_sources(weight: int):
@@ -184,9 +191,9 @@ def _mirror_sources(weight: int):
 def _antipode_basis(weight: int) -> tuple[SymbolicCombination, ...]:
     """The antipode relations of the given weight that raise the rank when
     inserted in source order: a Q-basis of their span."""
-    ech = _IntEchelon(_columns(weight)[1])
-    rels = map(antipode_relation, _mirror_sources(weight + 1))
-    return tuple(rel for rel in rels if rel and ech.insert(rel))
+    mat = RelationMatrix(weight)
+    return tuple(rel for rel in map(antipode_relation, _mirror_sources(weight + 1))
+                 if mat.add(rel))
 
 
 def relation_rows(weight: int):
@@ -207,29 +214,46 @@ def relation_rows(weight: int):
     yield from sorted(rows, key=len)
 
 
-class _IntEchelon:
-    """Incremental exact row echelon over the integers: a dense int row over
-    the columns of col_of is reduced against pivot rows kept as (col, value)
-    pairs from their lead column on, each with a positive lead and content 1."""
+@lru_cache(maxsize=None)
+def _columns(weight: int) -> tuple[tuple[Index, ...], dict[Index, int]]:
+    """The column order of the exact elimination at the given weight, and
+    the column of each admissible index in it: deepest words first, then
+    lexicographic in the reversed word.  Every order gives the same rank;
+    this one keeps the pivot rows sparse, and reduces the weight-16 rows
+    about 4x faster than the lexicographic order."""
+    order = tuple(sorted(compositions_ge2(weight), key=lambda ix: (-len(ix), ix[::-1])))
+    return order, {ix: col for col, ix in enumerate(order)}
 
-    def __init__(self, col_of: dict):
-        self.col_of = col_of
-        self.ncols = max(col_of.values(), default=-1) + 1
-        self.pivots: list = [None] * self.ncols
+
+@lru_cache(maxsize=None)
+def _stuffle_columns(a: tuple, b: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The stuffle product of two admissible words as its columns over
+    _columns(|a| + |b|) and their multiplicities, in the sorted word order
+    of stuffle(a, b)."""
+    words, mults = zip(*_stuffle_words(a, b))
+    return tuple(map(_columns(sum(a) + sum(b))[1].__getitem__, words)), mults
+
+
+class RelationMatrix:
+    """Incremental exact row echelon of the combinations of one weight: a
+    combination's int row is reduced as it is, since its denominator does
+    not change the rank, against pivot rows kept as (column, value) pairs
+    from their lead column on, each with a positive lead and content 1.
+    The rank is independent of row order and duplicates."""
+
+    def __init__(self, weight: int):
+        self.weight = weight
+        self._pivots: list = [None] * len(_columns(weight)[0])
         self.rank = 0
 
-    def insert(self, comb: SymbolicCombination) -> bool:
-        """Reduce a combination against the basis; True if it adds rank."""
-        col_of, pivots, n = self.col_of, self.pivots, self.ncols
-        if comb._row is not None and col_of is _columns(comb.weight)[1]:
-            row = list(comb._row)
-        else:
-            den = 1
-            for c in comb.terms.values():
-                den = den * c.denominator // gcd(den, c.denominator)
-            row = [0] * n
-            for ix, c in comb.terms.items():
-                row[col_of[ix]] = int(c * den)
+    def add(self, comb: SymbolicCombination) -> bool:
+        """Reduce one combination against the basis; True if it raised the rank."""
+        if not comb:
+            return False
+        if comb.weight != self.weight:
+            raise ValueError("row weight mismatch")
+        pivots, n = self._pivots, len(self._pivots)
+        row = list(comb._row)
         p = 0
         while True:
             while p < n and not row[p]:
@@ -255,46 +279,6 @@ class _IntEchelon:
         pivots[p] = [(c, row[c] // g) for c in range(p, n) if row[c]]
         self.rank += 1
         return True
-
-
-@lru_cache(maxsize=None)
-def _columns(weight: int) -> tuple[tuple[Index, ...], dict[Index, int]]:
-    """The column order of the exact elimination at the given weight, and
-    the column of each admissible index in it: deepest words first, then
-    lexicographic in the reversed word.  Every order gives the same rank;
-    this one keeps the pivot rows sparse, and reduces the weight-16 rows
-    about 4x faster than the lexicographic order."""
-    order = tuple(sorted(compositions_ge2(weight), key=lambda ix: (-len(ix), ix[::-1])))
-    return order, {ix: col for col, ix in enumerate(order)}
-
-
-@lru_cache(maxsize=None)
-def _stuffle_columns(a: tuple, b: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The stuffle product of two admissible words as its columns over
-    _columns(|a| + |b|) and their multiplicities, in the sorted word order
-    of stuffle(a, b)."""
-    words, mults = zip(*_stuffle_words(a, b))
-    return tuple(map(_columns(sum(a) + sum(b))[1].__getitem__, words)), mults
-
-
-class RelationMatrix:
-    """Rows = weight-homogeneous combinations over the basis of admissible
-    compositions; the rank comes from exact integer elimination and is
-    independent of row order, column order and duplicates."""
-
-    def __init__(self, weight: int):
-        self.weight = weight
-        self._ech = _IntEchelon(_columns(weight)[1])
-
-    def add(self, comb: SymbolicCombination) -> bool:
-        """Insert one row; True if it raised the rank."""
-        if comb and comb.weight != self.weight:
-            raise ValueError("row weight mismatch")
-        return self._ech.insert(comb) if comb else False
-
-    @property
-    def rank(self) -> int:
-        return self._ech.rank
 
 
 @lru_cache(maxsize=None)

@@ -335,40 +335,22 @@ def laurent_coefficients(f, orders, radius: float):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def wp_deriv_poly(k: int) -> WpPolynomial:
-    """wp_2^{(2k-2)} as a degree-k polynomial in wp over Q[G_4, G_6] (+G_2 at k=1).
-
-    Recursion: if wp_2^{(2k-2)} = sum_q a_q wp^q then
-    wp_2^{(2k)} = sum_q a_q (2q(2q+1) wp^{q+1} - 30q(2q-1) G_4 wp^{q-1}
-                            - 140 q(q-1) G_6 wp^{q-2}).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k == 1:
-        return WpPolynomial({(1, 0): QuasiModular.const(1), (0, 0): QuasiModular.gen(2)})
-    prev = wp_deriv_poly(k - 1)
-    G4, G6 = QuasiModular.gen(4), QuasiModular.gen(6)
-    out = WpPolynomial()
-    for (q, t), c in prev.coeffs.items():
-        if t != 0:
-            raise AssertionError("even derivatives stay in Q[wp]")
-        if q == 0:
-            continue
-        out = out + WpPolynomial({(q + 1, 0): c * (2 * q * (2 * q + 1))})
-        out = out + WpPolynomial({(q - 1, 0): c * (-30 * q * (2 * q - 1)) * G4})
-        if q >= 2:
-            out = out + WpPolynomial({(q - 2, 0): c * (-140 * q * (q - 1)) * G6})
-    return out
-
-
-@lru_cache(maxsize=None)
 def wp2_deriv(n: int) -> WpPolynomial:
-    """wp_2^{(n)} for any n >= 0 (odd orders via d/dz of the even ones)."""
+    """wp_2^{(n)} for any n >= 0: the n-fold `WpPolynomial.dz` of
+    wp_2 = wp + G_2, which reduces by (wp')^2 = 4 wp^3 - 60 G_4 wp - 140 G_6
+    and wp'' = 6 wp^2 - 30 G_4."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n % 2 == 0:
-        return wp_deriv_poly(n // 2 + 1)
+    if n == 0:
+        return WpPolynomial({(1, 0): QuasiModular.const(1), (0, 0): QuasiModular.gen(2)})
     return wp2_deriv(n - 1).dz()
+
+
+def wp_deriv_poly(k: int) -> WpPolynomial:
+    """wp_2^{(2k-2)} as a degree-k polynomial in wp over Q[G_4, G_6] (+G_2 at k=1)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return wp2_deriv(2 * k - 2)
 
 
 def phi_exp(lam) -> Fraction:

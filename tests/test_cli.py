@@ -89,6 +89,17 @@ def test_eval_reports_the_truncation_it_swept(capsys):
     assert code == 0 and "truncation" not in out and "error_estimate" not in out
 
 
+def test_eval_meis_direct_of_the_empty_index(capsys):
+    # no lattice rows are swept, as for --fn multiwp
+    code, out = run_cli(["eval", "--fn", "meis-direct", "--index", "-", "--format", "json"],
+                        capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["outputs"][0]["value"] == "1+0i"
+    assert report["truncation"]["rows"] == 0
+    assert report["error_estimate"] == 0.0
+
+
 def test_table_csv(capsys):
     code, out = run_cli(["table", "--max-weight", "6", "--format", "csv"], capsys)
     assert code == 0

@@ -165,6 +165,17 @@ def test_meis_direct_even_depth1():
     assert abs(got - eisenstein_G(4, 1j) / 2) < 1e-8
 
 
+def test_meis_direct_of_the_empty_index_is_one():
+    for tau in (1j, 0.3 + 1.1j):
+        assert meis_direct((), tau) == 1 + 0j == meis_qexp((), tau)
+
+
+def test_meis_direct_error_of_the_empty_index_is_exact():
+    value, estimate = meis_direct_error((), 1j, EvalConfig(M=3, N=100))
+    assert (value, estimate) == (1 + 0j, 0.0)
+    assert type(value) is complex and type(estimate) is float
+
+
 def test_meis_direct_odd_depth1_stability():
     v1 = meis_direct((3,), TAU, EvalConfig(M=50, N=500))
     v2 = meis_direct((3,), TAU, EvalConfig(M=100, N=1000))

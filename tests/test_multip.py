@@ -57,6 +57,10 @@ def test_raw_kernel_agrees_loosely():
     assert abs(v_raw - v) < 1e-3
 
 
+def test_multiwp_raw_of_the_empty_index_is_one():
+    assert multiwp_raw((), Z, TAU) == 1 + 0j == multiwp_direct((), Z, TAU)
+
+
 def test_pole_guard():
     with pytest.raises(ZeroDivisionError):
         multiwp_direct((2, 2), 1 + 2 * TAU, TAU, CFG)

@@ -1,16 +1,15 @@
 from math import comb
 
-import numpy as np
 import pytest
 from fractions import Fraction
 
 from multiwp.core import (Index, compositions_fixed, compositions_ge2, couplings, stuffle,
                           stuffle_expand)
-from multiwp.relations import (RelationMatrix, SymbolicCombination, _IntEchelon,
-                               _antipode_basis, _columns, _stuffle_columns, antipode_relation,
-                               combination_residual, conjectured_dim, conjectured_rel,
-                               eisenstein_relation_residual, mzv_relation_residual,
-                               relation_rank, relation_rows, relation_table)
+from multiwp.relations import (RelationMatrix, SymbolicCombination, _antipode_basis, _columns,
+                               _stuffle_columns, antipode_relation, combination_residual,
+                               conjectured_dim, conjectured_rel, eisenstein_relation_residual,
+                               mzv_relation_residual, relation_rank, relation_rows,
+                               relation_table)
 
 TABLE = {
     # weight: (dim, rel_conj, rel_anti)
@@ -67,30 +66,23 @@ def test_relation_rank_matches_table(weight):
 
 def test_rank_idempotent_and_order_invariant():
     w = 8
-    basis = compositions_ge2(w)
     rows = list(relation_rows(w))
-    col1 = {ix: i for i, ix in enumerate(basis)}
-    e1 = _IntEchelon(col1)
+    e1 = RelationMatrix(w)
     for r in rows + rows:  # duplicates change nothing
-        e1.insert(r)
+        e1.add(r)
     assert e1.rank == 4
-    rng = np.random.default_rng(0)
-    perm = rng.permutation(len(basis))
-    col2 = {ix: int(perm[i]) for i, ix in enumerate(basis)}
-    e2 = _IntEchelon(col2)
-    for r in rows:
-        e2.insert(r)
+    e2 = RelationMatrix(w)
+    for r in rows[::-1]:
+        e2.add(r)
     assert e2.rank == 4
 
 
 def test_depth_two_multipliers_do_not_extend_span():
     # products with arbitrary elements stay inside the single-index span
     w = 9
-    basis = compositions_ge2(w)
-    col = {ix: i for i, ix in enumerate(basis)}
-    ech = _IntEchelon(col)
+    ech = RelationMatrix(w)
     for r in relation_rows(w):
-        ech.insert(r)
+        ech.add(r)
     base_rank = ech.rank
     assert base_rank == relation_rank(w)
     for u1, u2 in [((2,), (2,)), ((2,), (3,))]:
@@ -102,7 +94,7 @@ def test_depth_two_multipliers_do_not_extend_span():
             prod = SymbolicCombination({})
             for word, m in stuffle(u1, u2).items():
                 prod = prod + rel.stuffle_mul(word).scale(m)
-            added = ech.insert(prod)
+            added = ech.add(prod)
             assert not added
     assert ech.rank == base_rank
 
@@ -138,10 +130,6 @@ def test_eisenstein_relation_examples():
     assert eisenstein_relation_residual((2, 2), 2, tau) < 1e-5
     with pytest.raises(ValueError):
         eisenstein_relation_residual((2,), 0, tau)
-
-
-def _lex_echelon(weight):
-    return _IntEchelon({ix: i for i, ix in enumerate(compositions_ge2(weight))})
 
 
 def _antipode_fraction_reference(source):
@@ -199,10 +187,10 @@ def test_coefficients_int_unless_rational():
 def test_antipode_basis_spans_all_antipode_relations(weight):
     basis = _antipode_basis(weight)
     rels = [antipode_relation(src) for src in compositions_ge2(weight + 1)]
-    ech = _lex_echelon(weight)
-    assert all(ech.insert(b) for b in basis)
+    ech = RelationMatrix(weight)
+    assert all(ech.add(b) for b in basis)
     assert ech.rank == len(basis)
-    assert not any(ech.insert(rel) for rel in rels if rel)
+    assert not any(ech.add(rel) for rel in rels if rel)
     # a subsequence of the relations in source order
     it = iter(rels)
     assert all(any(b is rel for rel in it) for b in basis)
@@ -210,16 +198,16 @@ def test_antipode_basis_spans_all_antipode_relations(weight):
 
 @pytest.mark.parametrize("weight", range(8, 13))
 def test_basis_products_span_every_antipode_product(weight):
-    ech = _lex_echelon(weight)
+    ech = RelationMatrix(weight)
     for row in relation_rows(weight):
-        ech.insert(row)
+        ech.add(row)
     assert ech.rank == TABLE[weight][2]
     for uw in range(2, weight - 1):
         for u in compositions_ge2(uw):
             for src in compositions_ge2(weight - uw + 1):
                 rel = antipode_relation(src)
                 if rel:
-                    assert not ech.insert(rel.stuffle_mul(u)), (u, src)
+                    assert not ech.add(rel.stuffle_mul(u)), (u, src)
     assert ech.rank == TABLE[weight][2]
 
 
@@ -237,6 +225,33 @@ def test_scalar_multiples_do_not_raise_rank():
     assert mat.add(other)
     assert not mat.add(other.scale(Fraction(-2, 7)))
     assert mat.rank == 2
+
+
+def test_one_combination_built_four_ways():
+    # (rel * (2)) / 2 for the weight-6 relation: ints and halves
+    rel = antipode_relation((2, 2, 3))
+    want = stuffle_expand((Fraction(c, 2), ((2,), ix)) for ix, c in rel.terms.items())
+    by_dict = SymbolicCombination(want)
+    by_scale = rel.stuffle_mul((2,)).scale(Fraction(1, 2))
+    by_add = SymbolicCombination()
+    for ix, c in want.items():
+        by_add = by_add + SymbolicCombination({ix: c})
+    by_stuffle = SymbolicCombination({ix: Fraction(c, 2) for ix, c in rel.terms.items()}
+                                     ).stuffle_mul((2,))
+    ways = [by_dict, by_scale, by_add, by_stuffle]
+    types = {ix: int if c.denominator == 1 else Fraction for ix, c in want.items()}
+    assert set(types.values()) == {int, Fraction}
+    mat, full = RelationMatrix(8), RelationMatrix(8)
+    for row in relation_rows(8):
+        full.add(row)
+    for i, combo in enumerate(ways):
+        assert combo.weight == 8 and len(combo) == len(want)
+        assert combo.terms == want
+        assert {ix: type(c) for ix, c in combo.terms.items()} == types
+        assert mat.add(combo) == (i == 0)
+        assert not full.add(combo)
+    assert mat.rank == 1
+    assert full.rank == TABLE[8][2]
 
 
 @pytest.mark.parametrize("weight", range(3, 15))
@@ -260,12 +275,12 @@ def test_relation_rows_span_every_antipode_relation(weight):
     rows = list(relation_rows(weight))
     counts = [len(row.terms) for row in rows]
     assert counts == sorted(counts)
-    ech = _lex_echelon(weight)
+    ech = RelationMatrix(weight)
     for row in rows:
-        ech.insert(row)
+        ech.add(row)
     assert ech.rank == TABLE[weight][2]
     for src in compositions_ge2(weight + 1):  # the skipped mirror sources too
-        assert not ech.insert(antipode_relation(src)), src
+        assert not ech.add(antipode_relation(src)), src
     assert ech.rank == TABLE[weight][2]
 
 
@@ -359,10 +374,3 @@ def test_rank_matches_fraction_gauss_jordan(weight):
         mat.add(row)
     assert mat.rank == _fraction_rank(row.terms for row in rows + [extra])
     assert mat.rank == TABLE[weight][2] + 1
-    # halved rows under a permuted column map
-    basis = compositions_ge2(weight)
-    perm = np.random.default_rng(weight).permutation(len(basis))
-    ech = _IntEchelon({ix: int(perm[i]) for i, ix in enumerate(basis)})
-    for row in rows + [extra]:
-        ech.insert(row.scale(Fraction(1, 2)))
-    assert ech.rank == mat.rank
