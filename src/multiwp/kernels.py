@@ -39,9 +39,9 @@ Arithmetic of one sweep
 -----------------------
 The sweep runs over the reversed region, so that each suffix sum is a
 forward cumsum, in blocks of ``_BLOCK`` points.  Each block computes its own
-tables into work buffers of one block each, allocated once per call (a
-lattice region's block is made in the spare buffer of the power folds and
-read for every x - w before they overwrite it): one reciprocal 1/(z - w)
+tables into work buffers of one block each, all made by one allocation per
+call (a lattice region's block is made in the spare buffer of the power
+folds and read for every x - w before they overwrite it): one reciprocal 1/(z - w)
 per distinct shift z of the call (every slot of a ``multiwp_direct`` sweep
 has the same shift), each power 1/(z - w)^k from it by k - 1 products as
 the left fold ((inv*inv)*inv)..., shared by all slots with that shift and
@@ -207,8 +207,10 @@ def positive_runs(M: int, N: int, M_sub: int, N_sub: int) -> list[tuple[int, int
 _BLOCK = 16384
 
 
-def _power_buffers(exps_by_shift: dict, size: int, tmp: np.ndarray) -> tuple[dict, list]:
-    """Work buffers of ``size`` points for the power tables of one call.
+def _power_buffers(exps_by_shift: dict, work, tmp: np.ndarray) -> tuple[dict, list]:
+    """Work buffers for the power tables of one call, taken from the
+    iterator ``work``: one per shift x for its reciprocal and one per
+    exponent k >= 2 of x.
 
     Returns ({(x, k): buffer} for every shift x and each of its exponents k,
     and per shift (x, reciprocal buffer, [destination of power 2, 3, ...,
@@ -218,12 +220,12 @@ def _power_buffers(exps_by_shift: dict, size: int, tmp: np.ndarray) -> tuple[dic
     differently from the same product in a longer or out-of-place call."""
     tables, folds = {}, []
     for x, ks in exps_by_shift.items():
-        inv = np.empty(size, dtype=np.complex128)
+        inv = next(work)
         if 1 in ks:
             tables[x, 1] = inv
         kept = sorted(ks - {1})
         for k in kept:
-            tables[x, k] = np.empty(size, dtype=np.complex128)
+            tables[x, k] = next(work)
         dests = []
         for k in range(2, max(ks) + 1):
             j = min(j for j in kept if j >= k)
@@ -314,15 +316,26 @@ def ordered_sum(w, shifts, exps, split_last=False, boundary_prev=None,
     if split_last:
         exps_by_shift[zr].add(2)
     size = min(L, _BLOCK if levels is not None else _BLOCK // 2)
-    tmp = np.empty(size, dtype=np.complex128)
-    tables, folds = _power_buffers(exps_by_shift, size, tmp)
-    rem = np.empty(size, dtype=np.complex128) if split_last else None
+    # Every work array of the call in one allocation.  glibc's malloc, when it
+    # frees a chunk above its mmap threshold, raises that threshold to the
+    # chunk's size and the trim threshold to twice it, so the next calls take
+    # this memory from the heap and keep it there.  Allocated one by one, the
+    # arrays raised them only to one array's size, and each call's free
+    # returned the heap top to the system to fault it in again: ~280 minor
+    # faults per multiwp_direct call on lattice-check seed 1 (2-vCPU VM), or
+    # ~47 where a larger free earlier in the process had raised them (the
+    # MZV sums to T = 46415 did), against 2.6 in one allocation.
+    n_work = 3 + split_last + sum(1 + len(ks - {1}) for ks in exps_by_shift.values())
+    work = iter(np.empty((n_work, size + 1), dtype=np.complex128))
     # acc[1 + i] is a slot's term at block point i and pre[1 + i] its suffix
     # sum; acc[0] = pre[0] is the suffix sum carried from the sub-region's
     # previous point (0 before its first point, whose shifted product reads
     # it).  One pair serves every sub-region in turn.
-    acc = np.empty(size + 1, dtype=np.complex128)
-    pre = np.zeros(size + 1, dtype=np.complex128)
+    acc, pre = next(work), next(work)
+    pre[0] = 0.0
+    tmp = next(work)[:size]
+    rem = next(work)[:size] if split_last else None
+    tables, folds = _power_buffers(exps_by_shift, (a[:size] for a in work), tmp)
     # outs[l][s]: sub-region l's slot s suffix sum through its points swept
     outs = [[0j] * r for _ in swept]
     pending = [0] * len(swept)  # index of each sub-region's next range

@@ -271,13 +271,24 @@ def _amplitude_matrix(index: tuple) -> np.ndarray:
     return A
 
 
+@lru_cache(maxsize=64)
+def _q_table(tau: complex, depth: int, weight: int) -> np.ndarray:
+    """`_p_matrix` at x = q^m for the indices of one depth and weight at tau:
+    m to `_q_terms_needed` (which raises QOrderError first), d to
+    max(need, 8), n = 2..weight.  Read-only; the indices of one relation
+    share a few of these per tau, and the 64 most recent are kept."""
+    q = complex(np.exp(TWO_PI_I * tau))
+    need = _q_terms_needed(abs(q), depth)
+    P = _p_matrix(q ** np.arange(1, need + 1), max(need, 8), weight)
+    P.flags.writeable = False
+    return P
+
+
 @lru_cache(maxsize=4096)
 def _meis_qexp_cached(index: tuple, tau: complex) -> complex:
     """The suffix DP with block b at Q_b(m) = Psi_b(m tau), from x = q^m, and
     the MZV prefixes."""
-    q = complex(np.exp(TWO_PI_I * tau))
-    need = _q_terms_needed(abs(q), len(index))
-    P = _p_matrix(q ** np.arange(1, need + 1), max(need, 8), sum(index))
+    P = _q_table(tau, len(index), sum(index))
     return _suffix_dp(_amplitude_matrix(index) @ P, _prefix_values(index))
 
 

@@ -10,13 +10,21 @@ are *corrected* level by level with Euler-Maclaurin power expansions (not
 merely bounded), and the reported error bound covers the neglected expansion
 orders plus float rounding.
 
-The cutoff is fixed because, with the tails corrected, float64 rounding is
-the largest error at any cutoff from 2*10^4 to 2*10^5: over the 143
-admissible indices of weight <= 11 a larger T moves no value by more than
-1.03e-15 relative and only costs time.  An index with a part 1 before its
-last part is extrapolated over T0, 2 T0, ... instead; there T0 = 10^5 leaves
-a fit error of ~1e-10 relative, inside the reported bound.  More precision
-needs another algorithm and number type, not a larger cutoff.
+The cutoff T follows from the error bound.  Its parts that depend on T are
+the orders the five-term expansions miss, at most twice their last term
+(2 |c_5| x0^-(k+5) per expanded sum, x0 = shift + T + 1), and each level's
+error carried into the next tail through H(k, x0) ~ x0^(1-k) / (k-1); the
+rest is float64 rounding, 8e-16 (|partial| + r |value|), where a complex
+shift puts the same sum over the moduli |shift + n|^-k in place of
+|partial| and |value|, since its terms can cancel.  T = 500 is the
+smallest multiple of 100 at which the T-dependent parts add at most 3% to
+the rounding part, for every admissible index of weight <= 13 (they add 8%
+at T = 200 and 210% at T = 100).  A larger T only costs time: T = 46415
+moves no value of weight <= 13 by more than 3.5e-16 relative.  An index
+with a part 1 before its last part is extrapolated over T0, 2 T0, ...
+instead; there T0 = 10^5 leaves a fit error of ~1e-10 relative, inside the
+reported bound.  More precision needs another algorithm and number type,
+not a larger cutoff.
 """
 from __future__ import annotations
 
@@ -70,8 +78,9 @@ def _plist_apply(a: int, plist, beta_cap: int):
     return [(c, b) for b, c in sorted(out.items())]
 
 
-# cutoffs 2*10^4..2*10^5 agree to 1.03e-15 relative (143 admissible indices, weight <= 11)
-_TAIL_T = 46415
+# the smallest multiple of 100 at which the T-dependent parts of the error
+# bound add at most 3% to its rounding part (admissible indices of weight <= 13)
+_TAIL_T = 500
 
 
 def mzv(index) -> MzvValue:
@@ -147,15 +156,26 @@ def _nested_zeta(index: tuple, shift) -> tuple[MzvValue, ...]:
     tail_prev: list[tuple[float, int]] | None = None  # t_{s-1}(n) power list
     x0 = shift + (T + 1)
     ax0 = abs(x0)
-    levels = _level_sums(index, shift + np.arange(0, T + 1, dtype=dtype))
+    base = shift + np.arange(0, T + 1, dtype=dtype)
+    levels = _level_sums(index, base)
+    # float rounding scales with the sum of the moduli of the terms: the
+    # partial sum itself for a real shift, a second nested sum over |base|
+    # for a complex one, whose terms can cancel
+    moduli = _level_sums(index, np.abs(base)) if dtype is complex else None
     out = []
     for s, (k, cums) in enumerate(zip(index, levels)):
         partial = cums[-1].item()
+        size = abs(partial) if moduli is None else next(moduli)[-1].item()
         head = _plist_eval(_em_power_list(k), x0)
+        # A five-term tail misses at most twice its last term: that of H(k, x0)
+        # times c_{s-1}, and that of sum_{m >= x0} m^-k m^-b times c for each
+        # term c n^-b of t_{s-1}.  The error of c_{s-1} enters through c_{s-1} H.
+        tail_err = err * abs(head) + sum(
+            2.0 * abs(c * _em_power_list(k + b)[-1][0]) * ax0 ** float(-(k + b) - 5)
+            for c, b in [(c_prev, 0)] + (tail_prev or []))
         if s == 0:
             tail = head
             tail_list = _em_power_list(k)
-            tail_err = 2.0 * abs(_em_power_list(k)[-1][0]) * ax0 ** float(-k - 5)
         else:
             corr_list = _plist_apply(k, tail_prev, beta_cap)
             tail = c_prev * head - _plist_eval(corr_list, x0)
@@ -166,9 +186,8 @@ def _nested_zeta(index: tuple, shift) -> tuple[MzvValue, ...]:
             for c, b in corr_list:
                 tl[b] = tl.get(b, 0.0) - c
             tail_list = [(c, b) for b, c in sorted(tl.items())]
-            tail_err = err * abs(head) + 4.0 * ax0 ** float(-(k + 6))
         c_s = partial + tail
-        err = tail_err + 8e-16 * (abs(partial) + len(index) * abs(c_s))
+        err = tail_err + 8e-16 * (size + len(index) * max(size, abs(c_s)))
         c_prev = c_s
         tail_prev = tail_list
         out.append(MzvValue(c_s, err, Index(index[:s + 1])))

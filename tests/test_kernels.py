@@ -342,7 +342,36 @@ def test_each_level_of_one_sweep_equals_its_own_sweep(exps, monkeypatch):
                         assert _bits(out) == _bits(alone), (block, swept, shifts, split)
 
 
-@pytest.mark.parametrize("levels", [[[(0, 5)], []], [[(4, 9), (2, 3)]], [[(0, 5), (4, 9)]],
+class _NanEmpty:
+    """numpy, with `empty` filled with NaN: memory left from an earlier call."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        out = np.empty(shape, dtype)
+        out.fill(complex(np.nan, np.nan) if np.dtype(dtype).kind == "c" else np.nan)
+        return out
+
+
+@pytest.mark.parametrize("exps", BLOCK_EXPS)
+def test_sweep_reads_no_work_array_before_writing_it(exps, monkeypatch):
+    # the call's work arrays come from one uninitialized allocation
+    tau = 0.4 + 1.2j
+    w, pos0 = lattice_sorted(tau, LEVEL_M, LEVEL_N)
+    monkeypatch.setattr(kernels, "_BLOCK", BLOCK)
+    calls = [(swept, shifts, list(exps), split, w[pos0], levels)
+             for swept in (w[pos0 + 1:], LatticeRegion.above_zero(tau, LEVEL_M, LEVEL_N))
+             for shifts in ([SHIFTS[0]] * len(exps), SHIFTS[:len(exps)])
+             for split in (False, True) for levels in (None, LEVELS)]
+    clean = [ordered_sum(*call) for call in calls]
+    monkeypatch.setattr(kernels, "np", _NanEmpty())
+    for call, want in zip(calls, clean):
+        assert _bits(ordered_sum(*call)) == _bits(want), call[1:4]
+
+
+@pytest.mark.parametrize("levels",[[[(0, 5)], []], [[(4, 9), (2, 3)]], [[(0, 5), (4, 9)]],
                                     [[(0, 5), (7, 6)]], [[(3, 3)]], [[(-1, 3)]], [[(30, 39)]]])
 def test_levels_must_be_ascending_disjoint_ranges_inside_the_region(levels):
     w, pos0 = lattice_sorted(0.4 + 1.2j, LEVEL_M, LEVEL_N)

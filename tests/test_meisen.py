@@ -10,10 +10,12 @@ from multiwp.core import EvalConfig, Index, compositions_ge2
 from multiwp.kernels import LatticeRegion, ordered_sum
 from multiwp.mzv import mzv
 from multiwp.weier import _row_sum, eisenstein_G, lipschitz_psi
-from multiwp.meisen import (MultitangentReduction, QOrderError, _meis_qexp_cached,
-                            _p_matrix, _suffix_dp, g_function, g_function_direct,
+from multiwp.meisen import (MultitangentReduction, QOrderError, _amplitude_matrix,
+                            _meis_qexp_cached, _p_matrix, _prefix_values, _q_table,
+                            _q_terms_needed, _suffix_dp, g_function, g_function_direct,
                             meis_direct, meis_direct_error, meis_qexp, monotangent,
                             multitangent_direct, multitangent_reduce)
+from multiwp.relations import antipode_relation, combination_residual
 
 TAU = 2j
 
@@ -376,6 +378,51 @@ def test_meis_qexp_tau_cache_is_bounded():
     for k in range(maxsize + 50):
         meis_qexp((2,), 1.5j + k * 1e-5)
     assert _meis_qexp_cached.cache_info().currsize <= maxsize
+
+
+def test_one_q_table_per_depth_and_weight_at_a_fresh_tau(monkeypatch):
+    # the terms of one relation share their q-power tables: a relation of
+    # weight 10 with terms of depth 2, 3 and 4 builds three, not one per term
+    built = []
+    p_matrix = meisen._p_matrix
+
+    def counted_p_matrix(x, dmax, nmax):
+        built.append((len(x), dmax, nmax))
+        return p_matrix(x, dmax, nmax)
+
+    monkeypatch.setattr(meisen, "_p_matrix", counted_p_matrix)
+    relation = antipode_relation((2, 2, 2, 3, 2))
+    shapes = {(len(ix), ix.weight) for ix in relation.terms}
+    assert len(relation.terms) == 9 and len(shapes) == 3
+    tau = 0.1234567 + 1.2345678j
+    assert combination_residual(relation, tau) < 1e-10
+    assert len(built) == len(shapes)
+    assert {nmax for _, _, nmax in built} == {10}
+    assert combination_residual(relation, tau + 1e-7) < 1e-10
+    assert len(built) == 2 * len(shapes)
+
+
+def test_q_table_cache_is_bounded_and_read_only():
+    maxsize = _q_table.cache_info().maxsize
+    assert maxsize == 64
+    for k in range(maxsize + 50):
+        P = _q_table(1.3j + k * 1e-5, 2, 5)
+        assert not P.flags.writeable
+    assert _q_table.cache_info().currsize <= maxsize
+    with pytest.raises(ValueError):
+        P[0, 0] = 0.0
+
+
+def test_meis_qexp_equals_the_uncached_pipeline_to_weight_10():
+    for tau in (0.8j, -0.45 + 0.95j, 0.3 + 1.3j):
+        q = complex(np.exp(2j * math.pi * tau))
+        for w in range(2, 11):
+            for ix in compositions_ge2(w):
+                ix = tuple(ix)
+                need = _q_terms_needed(abs(q), len(ix))
+                P = _p_matrix(q ** np.arange(1, need + 1), max(need, 8), w)
+                ref = _suffix_dp(_amplitude_matrix(ix) @ P, _prefix_values(ix))
+                assert meis_qexp(ix, tau) == ref, (ix, tau)
 
 
 def test_meis_qexp_tau_free_tables_are_cached(monkeypatch):
