@@ -14,8 +14,8 @@ from .multip import (QFactor, ReducedForm, antipode_residual,
                      multiwp_multivar, multiwp_reduce, multiwp_tilde,
                      multiwp_tilde_fourier)
 from .relations import (SymbolicCombination, antipode_relation, conjectured_dim,
-                        conjectured_rel, eisenstein_relation_residual,
-                        mzv_relation_residual, relation_rank, relation_table)
+                        conjectured_rel, mzv_relation_residual, relation_rank,
+                        relation_table)
 
 __all__ = [
     "DEFAULT_CONFIG", "EvalConfig", "Index", "Partition", "TruncatedSeries",
@@ -30,8 +30,7 @@ __all__ = [
     "multiwp22_fourier", "multiwp_direct", "multiwp_multivar",
     "multiwp_reduce", "multiwp_tilde", "multiwp_tilde_fourier",
     "SymbolicCombination", "antipode_relation", "conjectured_dim",
-    "conjectured_rel", "eisenstein_relation_residual",
-    "mzv_relation_residual", "relation_rank", "relation_table",
+    "conjectured_rel", "mzv_relation_residual", "relation_rank", "relation_table",
 ]
 
 __version__ = "0.1.0"

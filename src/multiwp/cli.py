@@ -1,7 +1,10 @@
 """Command-line interface: evaluate, reduce, q-expand, verify, relations, table.
 
 Numbers print with full precision; json reports re-parse to the same values.
-Exit status: 0 ok, 1 tolerance failure in verify, 2 argument errors.
+Each subcommand takes only the flags it reads, and `eval` only the inputs
+its --fn reads.  Exit status: 0 ok, 1 tolerance failure in verify, 2 an
+argument error, an input outside a route's domain, or a series that does
+not converge (ArithmeticError, which covers ConvergenceError).
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .core import DEFAULT_CONFIG, EvalConfig, Index, compositions_ge2
+from .core import EvalConfig, Index, compositions_ge2
 from . import meisen, multip, relations, verify, weier
 from .mzv import mzv as mzv_value_of
 
@@ -55,37 +58,6 @@ def parse_index(s: str) -> Index:
     return Index(int(p) for p in s.replace(" ", "").split(","))
 
 
-_CONFIG_KEYS = {"M": int, "N": int, "tol": float}
-
-
-def load_config(path: str | None, args) -> EvalConfig:
-    """The EvalConfig from the key=value file at path (if any), each value
-    overridden by its flag; an unknown key or an unreadable file is a
-    ValueError."""
-    cfg = {key: getattr(DEFAULT_CONFIG, key) for key in _CONFIG_KEYS}
-    if path:
-        try:
-            with open(path) as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise ValueError(f"cannot read config file {path}: {exc.strerror}") from exc
-        for line in lines:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r} in {path}; "
-                                 f"known keys: {', '.join(_CONFIG_KEYS)}")
-            cfg[key] = _CONFIG_KEYS[key](val.strip())
-    for key in cfg:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-    return EvalConfig(**cfg)
-
-
 def _cnum(v) -> str:
     if isinstance(v, complex):
         return f"{v.real:.15g}{v.imag:+.15g}i"
@@ -117,22 +89,29 @@ def _emit(args, report: dict) -> None:
         print(row)
 
 
-# the inputs each --fn needs; wpk and eisenstein take a one-part --index
-_EVAL_NEEDS = {"multiwp": ("index", "z"), "meis": ("index",), "meis-direct": ("index",),
-               "wpk": ("index", "z"), "wp": ("z",), "sigma": ("z",), "zeta": ("z",),
-               "eisenstein": ("index",), "mzv": ("index",)}
+# the inputs each --fn reads, required then optional; wpk and eisenstein take
+# a one-part --index, and --tau is i where it is read and not given
+_EVAL_READS = {"multiwp": ("index z", "tau M N"), "meis-direct": ("index", "tau M N"),
+               "meis": ("index", "tau"), "eisenstein": ("index", "tau"), "mzv": ("index", ""),
+               "wpk": ("index z", "tau"), "wp": ("z", "tau"), "sigma": ("z", "tau"),
+               "zeta": ("z", "tau")}
+_FLAGS = {"index": "--index", "z": "--z", "tau": "--tau", "M": "-M", "N": "-N"}
 
 
 def cmd_eval(args) -> int:
-    cfg = args.cfg
     fn = args.fn
-    for flag in _EVAL_NEEDS[fn]:
-        if not getattr(args, flag):
-            raise ValueError(f"--fn {fn} needs --{flag}")
+    needs, takes = (names.split() for names in _EVAL_READS[fn])
+    for name in needs:
+        if not getattr(args, name):
+            raise ValueError(f"--fn {fn} needs {_FLAGS[name]}")
+    for name, flag in _FLAGS.items():
+        if getattr(args, name) is not None and name not in needs + takes:
+            raise ValueError(f"--fn {fn} does not read {flag}")
     index = parse_index(args.index) if args.index else None
     if fn in ("wpk", "eisenstein") and len(index) != 1:
         raise ValueError(f"--fn {fn} takes a single part in --index, got {args.index!r}")
-    tau = parse_complex(args.tau)
+    tau = parse_complex("i" if args.tau is None else args.tau) if "tau" in takes else None
+    cfg = EvalConfig(**{k: getattr(args, k) for k in ("M", "N") if getattr(args, k) is not None})
     z = parse_complex(args.z) if args.z else None
     swept = {}  # a direct lattice sum's truncation and error estimate
     if fn == "multiwp":
@@ -163,7 +142,8 @@ def cmd_eval(args) -> int:
     report = {
         "command": "eval",
         "inputs": {"fn": fn, "index": list(index) if index else None,
-                   "z": _cnum(z) if z is not None else None, "tau": _cnum(tau)},
+                   "z": _cnum(z) if z is not None else None,
+                   "tau": _cnum(tau) if tau is not None else None},
         "outputs": [{"value": _cnum(val),
                      "re": repr(complex(val).real), "im": repr(complex(val).imag)}],
         "residuals": [],
@@ -271,26 +251,14 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _common_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
-    d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    p.add_argument("--format", choices=["text", "json", "csv"], default=d("text"))
-    p.add_argument("--config", default=d(None),
-                   help="key=value config file (M, N, tol)")
-    p.add_argument("--seed", type=int, default=d(0))
-    p.add_argument("-M", type=int, dest="M", default=d(None))
-    p.add_argument("-N", type=int, dest="N", default=d(None))
-    p.add_argument("--tol", type=float, default=d(None))
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="multiwp",
                                 description="multiple Weierstrass p-functions, "
                                             "multiple Eisenstein series, and their relations")
-    _common_flags(p, suppress=False)
-    common = argparse.ArgumentParser(add_help=False)
-    _common_flags(common, suppress=True)
+    shared = argparse.ArgumentParser(add_help=False)  # what every subcommand takes
+    shared.add_argument("--format", choices=["text", "json", "csv"], default="text")
     sub = p.add_subparsers(dest="cmd", required=True, parser_class=lambda **kw:
-                           argparse.ArgumentParser(parents=[common], **kw))
+                           argparse.ArgumentParser(parents=[shared], **kw))
 
     pe = sub.add_parser("eval", help="evaluate a function at a point")
     pe.add_argument("--fn", required=True,
@@ -298,7 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "sigma", "zeta", "eisenstein", "mzv"])
     pe.add_argument("--index", default=None, help="comma-separated parts, e.g. 2,3")
     pe.add_argument("--z", default=None)
-    pe.add_argument("--tau", default="i")
+    pe.add_argument("--tau", default=None, help="default i")
+    pe.add_argument("-M", type=int, default=None, help="row cap of a direct lattice sum")
+    pe.add_argument("-N", type=int, default=None, help="first Richardson level of one")
     pe.set_defaults(run=cmd_eval)
 
     pr = sub.add_parser("reduce", help="reduce a multiple wp-function to single wp_n's")
@@ -314,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run identity verification suites")
     pv.add_argument("--suite", default="all",
                     choices=sorted(verify.SUITES) + ["all"])
+    pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--max-weight", type=int, default=None)
     pv.set_defaults(run=cmd_verify)
 
@@ -330,9 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.cfg = load_config(args.config, args)
         return args.run(args)
-    except (ValueError, KeyError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

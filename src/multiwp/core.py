@@ -303,8 +303,7 @@ def _coupled_words(parts: tuple, total: int) -> tuple[tuple[tuple[int, ...], int
     return tuple(out)
 
 
-def couplings(index: Sequence[int], total: int, free: int | None = None,
-              n_free: int | None = None):
+def couplings(index: Sequence[int], total: int, free: int, n_free: int | None = None):
     """The binomial coupling of the reduction theorem.
 
     Yield (ns, c) for every ns = (n_1..n_r) summing to total with n_j >= k_j
@@ -313,15 +312,11 @@ def couplings(index: Sequence[int], total: int, free: int | None = None,
         c = (-1)^(k_i + n_i + ... + n_r) prod_{j != i} C(n_j - 1, k_j - 1)
 
     is nonzero.  The free n_i is n_free when given and otherwise any n_i >= 0.
-    With free=None every slot is coupled and c is the unsigned product over
-    all j.  The order is lexicographic in ns.  The slots after the free one
+    The order is lexicographic in ns.  The slots after the free one
     come from the table of their coupled words, the ones before it are walked
     slot by slot.
     """
     k = tuple(index)
-    if free is None:
-        yield from _coupled_words(k, total)
-        return
     tail = k[free + 1:]
     fixed = () if n_free is None else (n_free,)
 

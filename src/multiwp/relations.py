@@ -23,18 +23,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm, pi
+from math import factorial, gcd, lcm, pi
 
 from .core import (Index, TruncatedSeries, _coupled_words, _stuffle_words, bernoulli,
                    compositions_ge2, couplings)
 from .mzv import mzv
 from .meisen import meis_qexp
-from .weier import eisenstein_G
 
 __all__ = [
     "SymbolicCombination", "RelationMatrix", "antipode_relation", "relation_rows", "relation_rank",
     "conjectured_dim", "conjectured_rel", "relation_table",
-    "mzv_relation_residual", "eisenstein_relation_residual", "combination_residual",
+    "mzv_relation_residual", "combination_residual",
 ]
 
 
@@ -363,42 +362,3 @@ def mzv_relation_residual(index) -> float:
             euler = (-1) ** (n_i // 2) * (2 * pi) ** n_i * float(bernoulli(n_i)) / factorial(n_i)
             rhs -= c * euler * zv(ns[:i][::-1]) * zv(ns[i + 1:])
     return abs(lhs - rhs)
-
-
-def eisenstein_relation_residual(index, m: int, tau: complex) -> float:
-    """|LHS - RHS| of the z^m Taylor-coefficient relation among multiple
-    Eisenstein series (m > 0).
-
-    The right side carries a factor (-1)^m (pinned by the depth-one case,
-    where both sides are classical Eisenstein data), and the boundary sum
-    runs over i = 1..r.
-    """
-    index = Index(index)
-    if not index.admissible:
-        raise ValueError("parts must be >= 2")
-    if m <= 0:
-        raise ValueError("m must be positive")
-    r, k = index.depth, index.weight
-
-    def gt(ix) -> complex:
-        ix = Index(ix)
-        return meis_qexp(ix, tau) if ix.depth else 1.0
-
-    lhs = 0.0 + 0.0j
-    for i in range(r):
-        for ns, c in couplings(index, m + k, i):
-            n_i = ns[i]
-            if n_i % 2 == 1 or n_i < m + 1:
-                continue  # odd Eisenstein values vanish, as does C(n_i - 1, m)
-            lhs += comb(n_i - 1, m) * c * gt(ns[:i][::-1]) * gt(ns[i + 1:]) \
-                * eisenstein_G(n_i, tau)
-    rhs = 0.0 + 0.0j
-    full = list(couplings(index, m + k))
-    for i in range(0, r + 1):
-        for ns, c in full:
-            sgn = (-1) ** (sum(ns[i:]) % 2)
-            rhs += sgn * c * gt(ns[:i][::-1]) * gt(ns[i:])
-    for i in range(r):
-        for ns, c in couplings(index, m + k, i, 0):
-            rhs += c * gt(ns[:i][::-1]) * gt(ns[i + 1:])
-    return abs(lhs - (-1) ** m * rhs)

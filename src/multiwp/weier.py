@@ -152,6 +152,8 @@ def lipschitz_psi(k: int, x: complex) -> complex:
     xi = np.exp(TWO_PI_I * complex(x))
     if abs(xi) >= 1:
         raise ValueError("lipschitz_psi needs Im(x) > 0")
+    if xi == 0:  # e^{2 pi i x} underflows: every term is 0 in float64
+        return 0j
     D = max(8, int(np.ceil(log(1e-18) / log(abs(xi)))) + k * 8)
     if D > 40000:
         last = exp(min(700.0, (k - 1) * log(40000) + 40000 * log(abs(xi))))

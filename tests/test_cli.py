@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import multiwp
-from multiwp.cli import main, parse_complex, parse_index
+from multiwp.cli import build_parser, main, parse_complex, parse_index
 from multiwp import meisen, verify
 from multiwp.core import EvalConfig, Index, compositions_ge2
 from multiwp.relations import antipode_relation
@@ -195,50 +196,61 @@ def test_console_entrypoint():
     assert "weight" in proc.stdout
 
 
-def test_config_file(tmp_path, capsys):
-    cfg = tmp_path / "multiwp.cfg"
-    cfg.write_text("# comment\nM = 12\nN = 2000\ntol=1e-7\n")
-    code, out = run_cli(["eval", "--fn", "multiwp", "--index", "2,2",
-                         "--z", "0.3+0.2i", "--tau", "i",
-                         "--config", str(cfg), "--format", "json"], capsys)
-    assert code == 0
-    # flags override the file
-    code2, out2 = run_cli(["eval", "--fn", "multiwp", "--index", "2,2",
-                           "--z", "0.3+0.2i", "--tau", "i",
-                           "--config", str(cfg), "-N", "4000",
-                           "--format", "json"], capsys)
-    assert code2 == 0
-    v1 = json.loads(out)["outputs"][0]["re"]
-    v2 = json.loads(out2)["outputs"][0]["re"]
-    assert abs(float(v1) - float(v2)) < 1e-6 and v1 != v2
+def _options(parser):
+    return {opt for action in parser._actions if not isinstance(action, argparse._HelpAction)
+            for opt in action.option_strings}
 
 
-@pytest.mark.parametrize("line", ["q-order=20", "precision=20", "q_order=48"])
-def test_config_file_unknown_key_exits_2(tmp_path, capsys, line):
-    cfg = tmp_path / "multiwp.cfg"
-    cfg.write_text(f"M = 12\n{line}\n")
-    code = main(["eval", "--fn", "mzv", "--index", "2", "--config", str(cfg)])
-    assert code == 2
-    key = line.partition("=")[0]
-    assert f"unknown config key {key!r}" in capsys.readouterr().err
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert _options(parser) == set()
+    assert {cmd: _options(p) for cmd, p in sub.choices.items()} == {
+        "eval": {"--fn", "--index", "--z", "--tau", "-M", "-N", "--format"},
+        "reduce": {"--index", "--tau", "--format"},
+        "qexp": {"--index", "--tau", "--format"},
+        "verify": {"--suite", "--seed", "--max-weight", "--format"},
+        "relations": {"--weight", "--format"},
+        "table": {"--max-weight", "--format"},
+    }
 
 
-@pytest.mark.parametrize("cmd", [["qexp", "--index", "2"], ["table", "--max-weight", "6"]])
-def test_every_subcommand_validates_config(tmp_path, capsys, cmd):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("M = 12\nprecision=20\n")
-    assert main(cmd + ["--config", str(cfg)]) == 2
-    assert "unknown config key 'precision'" in capsys.readouterr().err
-    assert main(cmd + ["--config", str(tmp_path / "missing.cfg")]) == 2
-    assert "missing.cfg" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["table", "--max-weight", "4", "-N", "1"],
+    ["relations", "--weight", "6", "--seed", "3"],
+    ["qexp", "--index", "2", "-M", "12"],
+    ["verify", "--suite", "depth-one", "-N", "100"],
+    ["eval", "--fn", "mzv", "--index", "2", "--tol", "1e-9"],
+    ["eval", "--fn", "mzv", "--index", "2", "--config", "f"],
+    ["--format", "json", "table", "--max-weight", "4"],
+])
+def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
-def test_missing_config_file_exits_2(tmp_path, capsys):
-    code = main(["eval", "--fn", "mzv", "--index", "2",
-                 "--config", str(tmp_path / "missing.cfg")])
-    assert code == 2
+@pytest.mark.parametrize("args, message", [
+    (["--fn", "mzv", "--index", "2,3", "--z", "0.3"], "--fn mzv does not read --z"),
+    (["--fn", "wp", "--index", "2", "--z", "0.3"], "--fn wp does not read --index"),
+    (["--fn", "sigma", "--z", "0.3", "-M", "12"], "--fn sigma does not read -M"),
+    (["--fn", "mzv", "--index", "2,3", "--tau", "i"], "--fn mzv does not read --tau"),
+])
+def test_eval_input_its_fn_does_not_read_exits_2(capsys, args, message):
+    assert main(["eval"] + args) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "missing.cfg" in err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("args, route", [
+    (["--fn", "eisenstein", "--index", "4", "--tau", "0.3+0.0005i"], "_g_even_qexp"),
+    (["--fn", "wpk", "--index", "4", "--z", "0.3+0.002i", "--tau", "0.3+0.01i"], "_wp_k_rows"),
+])
+def test_eval_that_does_not_converge_exits_2(capsys, args, route):
+    assert main(["eval"] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and route in err
 
 
 def test_removed_q_order_flag_exits_2(capsys):

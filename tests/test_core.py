@@ -3,8 +3,8 @@ from math import comb
 
 import pytest
 
-from multiwp.core import (EvalConfig, Index, Partition, TruncatedSeries, bernoulli,
-                          beta, beta_prime, compositions_fixed, compositions_ge2,
+from multiwp.core import (EvalConfig, Index, Partition, TruncatedSeries, _coupled_words,
+                          bernoulli, beta, beta_prime, compositions_fixed, compositions_ge2,
                           couplings, partition_trace,
                           partitions, phi_log, stuffle,
                           stuffle_combination, stuffle_expand)
@@ -240,7 +240,7 @@ def test_couplings_match_filtered_compositions():
     cases += [(ix, w) for w in range(1, 8) for ix in _compositions(w) if 1 in ix]
     checked = 0
     for ix, total in cases:
-        assert list(couplings(ix, total)) == _coupling_reference(ix, total, None, None)
+        assert list(_coupled_words(tuple(ix), total)) == _coupling_reference(ix, total, None, None)
         for i in range(len(ix)):
             for n_free in (0, 1, None):
                 got = list(couplings(ix, total, i, n_free))

@@ -38,6 +38,15 @@ def test_monotangent_dual_and_periodic():
         monotangent(1, 0.5)
 
 
+def test_lipschitz_series_past_the_underflow_of_xi():
+    # at Im x = 113 the one term left is -4 pi^2 e^{-226 pi}, a subnormal;
+    # at 120, e^{2 pi i x} is 0 in float64 and so is every term
+    assert lipschitz_psi(2, 113j) == -4 * math.pi**2 * math.exp(-226 * math.pi)
+    assert lipschitz_psi(2, 113j) == -1.7672735127612476e-307
+    assert lipschitz_psi(2, 120j) == 0
+    assert monotangent(2, 120j) == 0 and monotangent(2, -120j) == 0
+
+
 def test_multitangent_reduction_known_coefficients():
     # Psi_{2,2} = 2 zeta(2) Psi_2 ; Psi_{2,3} = 3 zeta(3) Psi_2 + zeta(2) Psi_3
     red = multitangent_reduce((2, 2)).coefficients()

@@ -7,9 +7,8 @@ from multiwp.core import (Index, compositions_fixed, compositions_ge2, couplings
                           stuffle_expand)
 from multiwp.relations import (RelationMatrix, SymbolicCombination, _antipode_basis, _columns,
                                _stuffle_columns, antipode_relation, combination_residual,
-                               conjectured_dim, conjectured_rel, eisenstein_relation_residual,
-                               mzv_relation_residual, relation_rank, relation_rows,
-                               relation_table)
+                               conjectured_dim, conjectured_rel, mzv_relation_residual,
+                               relation_rank, relation_rows, relation_table)
 
 TABLE = {
     # weight: (dim, rel_conj, rel_anti)
@@ -121,15 +120,6 @@ def test_mzv_relation_examples():
     assert mzv_relation_residual((2,)) < 1e-12
     assert mzv_relation_residual((2, 2)) < 1e-8
     assert mzv_relation_residual((2, 3)) < 1e-8
-
-
-def test_eisenstein_relation_examples():
-    tau = 2j
-    assert eisenstein_relation_residual((2,), 2, tau) < 1e-6
-    assert eisenstein_relation_residual((2, 2), 1, 1j) < 1e-5
-    assert eisenstein_relation_residual((2, 2), 2, tau) < 1e-5
-    with pytest.raises(ValueError):
-        eisenstein_relation_residual((2,), 0, tau)
 
 
 def _antipode_fraction_reference(source):
