@@ -295,6 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("table", help="reproduce the relation-count table")
     pt.add_argument("--max-weight", type=int, default=12)
     pt.set_defaults(run=cmd_table)
+    # argparse prints the usage above each error, so the hint is seen when a
+    # flag comes before the subcommand and is taken for one
+    p.usage = (p.format_usage().removeprefix("usage: ").rstrip()
+               + "\n       flags go after the subcommand, e.g. multiwp table --format json")
     return p
 
 

@@ -322,21 +322,33 @@ class QFactor:
     xs: tuple[complex, ...]
     tau: complex
 
+    def _factors(self, z: complex):
+        """Each restricted-wp factor as its index, its arguments and the
+        derivative of each argument in z: the first factor takes z - x_j
+        (+1), the second x_j - z (-1)."""
+        r, i, xs = self.r, self.i, self.xs
+        return (((2,) * (r - i), [z - xs[j] for j in range(i, r)], 1),
+                ((2,) * (i - 1), [xs[j] - z for j in range(i - 2, -1, -1)], -1))
+
+    def _tilde(self, k: tuple, args) -> complex:
+        return _tilde_taylor(Index(k), args, self.tau, 1e-12) if k else 1.0
+
     def value(self, z: complex) -> complex:
         """Q_{r,i} at z, each factor by `_tilde_taylor` to 1e-12, with its
         ValueError (some |x| > 0.45) and ConvergenceError."""
-        r, i, xs = self.r, self.i, self.xs
-        a = _tilde_taylor(Index((2,) * (r - i)), [z - xs[j] for j in range(i, r)],
-                          self.tau, 1e-12) if r > i else 1.0
-        b = _tilde_taylor(Index((2,) * (i - 1)), [xs[j] - z for j in range(i - 2, -1, -1)],
-                          self.tau, 1e-12) if i > 1 else 1.0
+        a, b = (self._tilde(k, args) for k, args, _ in self._factors(z))
         return a * b
 
     def dz(self, z: complex) -> complex:
-        """Derivative by the 4th-order central stencil, h = (1e-8)^(1/3) max(1,|z|)."""
-        h = 1e-8 ** (1.0 / 3.0) * max(1.0, abs(z))
-        f = self.value
-        return (-f(z + 2 * h) + 8 * f(z + h) - 8 * f(z - h) + f(z - 2 * h)) / (12 * h)
+        """The exact derivative in z by the product rule over the two factors,
+        with d/dx_j tilde_k = -k_j tilde_{k + e_j} for each argument."""
+        (ka, xa, sa), (kb, xb, sb) = self._factors(z)
+
+        def d(k, args, s):
+            return -s * sum(k[j] * self._tilde(k[:j] + (k[j] + 1,) + k[j + 1:], args)
+                            for j in range(len(k)))
+
+        return d(ka, xa, sa) * self._tilde(kb, xb) + self._tilde(ka, xa) * d(kb, xb, sb)
 
 
 def antipode_residual(r: int, xs, tau: complex) -> complex:

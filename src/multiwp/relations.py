@@ -3,19 +3,21 @@
 A SymbolicCombination is an exact rational linear combination of admissible
 indices (all parts >= 2) of one common weight, the carrier of linear
 relations among multiple Eisenstein series.  The antipode relations come
-from the vanishing derivative sum of the restricted-wp product factors;
-their stuffle closure is spanned, by bilinearity and associativity, by
-products with single indices, and exact integer row reduction gives the
-rank of the relation space in each weight.  Each weight has one column
-order, and every combination is a dense row of Python ints over it with
-one positive common denominator; every antipode coefficient is an integer,
-so each row the engine makes has denominator 1, and a Fraction appears
-only in the terms of a combination with a larger one.  The rows are built
-from a per-pair stuffle table in column form, and RelationMatrix reduces
-them against sparse pivot rows.  An antipode coefficient has n_i = 1 and
-factorises into a sign and the couplings of its left and right words,
-which come from the coupling table of core.  A reversed source gives the
-same relation up to sign,
+from the vanishing derivative sum of the restricted-wp product factors.
+Their stuffle closure is spanned, by bilinearity and associativity, by
+products with single indices, and in each weight by the products with the
+generators of the lower weights: the antipode relations that are not in
+the span of their own weight's products.  One exact integer row reduction
+per weight gives both the rank of its relation space and its generators.
+Each weight has one column order, and every combination is a dense row of
+Python ints over it with one positive common denominator; every antipode
+coefficient is an integer, so each row the engine makes has denominator 1,
+and a Fraction appears only in the terms of a combination with a larger
+one.  The rows are built from a per-pair stuffle table in column form, and
+RelationMatrix reduces them against sparse pivot rows.  An antipode
+coefficient has n_i = 1 and factorises into a sign and the couplings of
+its left and right words, which come from the coupling table of core.  A
+reversed source gives the same relation up to sign,
 antipode_relation(k[::-1]) == (-1)^{|k|-1} antipode_relation(k), so one
 source of each mirror pair is used.
 """
@@ -186,31 +188,56 @@ def _mirror_sources(weight: int):
     return (src for src in compositions_ge2(weight) if src <= src[::-1])
 
 
+def _rows(weight: int) -> tuple[list, list]:
+    """The products u * g of every admissible u with every generator g of
+    weight weight - |u|, and the nonzero antipode relations of the mirror
+    sources of the given weight."""
+    products = [g.stuffle_mul(u) for uw in range(2, weight - 1) for u in compositions_ge2(uw)
+                for g in _echelon(weight - uw)[1]]
+    return products, [rel for rel in map(antipode_relation, _mirror_sources(weight + 1)) if rel]
+
+
 @lru_cache(maxsize=None)
-def _antipode_basis(weight: int) -> tuple[SymbolicCombination, ...]:
-    """The antipode relations of the given weight that raise the rank when
-    inserted in source order: a Q-basis of their span."""
+def _echelon(weight: int) -> tuple[int, tuple[SymbolicCombination, ...]]:
+    """The exact rank of the relation span of the given weight, and its
+    generators.  The echelon takes the products of _rows first, then the
+    antipode relations, each in term-count order; the generators are the
+    antipode relations that still raise the rank.  Products first leaves
+    the fewest generators, and term-count order picks sparse ones, which
+    keeps the products of the higher weights sparse."""
+    products, antipodes = _rows(weight)
     mat = RelationMatrix(weight)
-    return tuple(rel for rel in map(antipode_relation, _mirror_sources(weight + 1))
-                 if mat.add(rel))
+    for row in sorted(products, key=len):
+        mat.add(row)
+    generators = tuple(rel for rel in sorted(antipodes, key=len) if mat.add(rel))
+    return mat.rank, generators
 
 
 def relation_rows(weight: int):
     """Generate, in non-decreasing term count, the antipode relations of the
-    given weight and the stuffle products of all admissible single indices u
-    with a Q-basis of the lower-weight antipode relations.  stuffle_mul(u) is
-    linear, so these products span the same space as the products with every
-    antipode relation.  Reversal maps the slot i to r+1-i and swaps the two
-    commuting stuffle factors, and the boundary sign changes by (-1)^{|k|-1}:
+    given weight and the stuffle products u * g of all admissible single
+    indices u with the generators g of weight weight - |u|.
+
+    These rows span I_w, the weight-w part of the stuffle ideal generated by
+    the antipode relations.  stuffle_mul(u) is linear, and the stuffle is
+    commutative and associative, so I_w is spanned by the antipode
+    relations of weight w and the products u * a with every antipode
+    relation a of a lower weight w'.  If a is not a generator, the echelon
+    of weight w' puts it in the span of that weight's products and
+    generators, so u * a is a sum of terms u * (u' * g'') and c (u * g).
+    u * u' is an integer sum of admissible words of weight |u| + |u'|, each
+    a multiplier at weight w, so u * (u' * g'') = (u * u') * g'' is a sum of
+    rows, and so is u * a: the rows span I_w, as do the products with a
+    basis of every lower weight's antipode relations.
+
+    Reversal maps the slot i to r+1-i and swaps the two commuting stuffle
+    factors, and the boundary sign changes by (-1)^{|k|-1}:
     antipode_relation(k[::-1]) == (-1)^{|k|-1} antipode_relation(k), so only
     one source of each mirror pair is taken."""
     if weight < 2:
         raise ValueError("weight must be >= 2")
-    rows = [rel for rel in map(antipode_relation, _mirror_sources(weight + 1)) if rel]
-    for uw in range(2, weight - 1):
-        for u in compositions_ge2(uw):
-            rows.extend(rel.stuffle_mul(u) for rel in _antipode_basis(weight - uw))
-    yield from sorted(rows, key=len)
+    products, antipodes = _rows(weight)
+    yield from sorted(antipodes + products, key=len)
 
 
 @lru_cache(maxsize=None)
@@ -245,23 +272,25 @@ class RelationMatrix:
         self._pivots: list = [None] * len(_columns(weight)[0])
         self.rank = 0
 
-    def add(self, comb: SymbolicCombination) -> bool:
-        """Reduce one combination against the basis; True if it raised the rank."""
+    def _reduce(self, comb: SymbolicCombination) -> tuple[int, list]:
+        """Reduce a copy of the combination's int row against the pivots, up
+        to its first nonzero column p without a pivot; (p, row), with p the
+        column count when the row reduces to 0."""
+        pivots, n = self._pivots, len(self._pivots)
         if not comb:
-            return False
+            return n, []
         if comb.weight != self.weight:
             raise ValueError("row weight mismatch")
-        pivots, n = self._pivots, len(self._pivots)
         row = list(comb._row)
         p = 0
         while True:
             while p < n and not row[p]:
                 p += 1
             if p == n:
-                return False
+                return p, row
             piv = pivots[p]
             if piv is None:
-                break
+                return p, row
             a, b = piv[0][1], row[p]
             g = gcd(a, b)
             fa, fb = a // g, b // g
@@ -270,23 +299,35 @@ class RelationMatrix:
             # row <- fa * row - fb * piv; the entry at p cancels
             for c, v in piv:
                 row[c] -= fb * v
+
+    def add(self, comb: SymbolicCombination) -> bool:
+        """Reduce one combination against the basis; True if it raised the rank."""
+        p, row = self._reduce(comb)
+        n = len(self._pivots)
+        if p == n:
+            return False
         g = 0
         for v in row[p:]:
             g = gcd(g, v)
         if row[p] < 0:
             g = -g
-        pivots[p] = [(c, row[c] // g) for c in range(p, n) if row[c]]
+        self._pivots[p] = [(c, row[c] // g) for c in range(p, n) if row[c]]
         self.rank += 1
         return True
 
+    def contains(self, comb: SymbolicCombination) -> bool:
+        """True if the combination lies in the span of the rows added so
+        far; nothing is inserted."""
+        return self._reduce(comb)[0] == len(self._pivots)
 
-@lru_cache(maxsize=None)
+
 def relation_rank(weight: int) -> int:
-    """Exact rank of the antipode + stuffle-product relation span."""
-    mat = RelationMatrix(weight)
-    for row in relation_rows(weight):
-        mat.add(row)
-    return mat.rank
+    """Exact rank of the antipode + stuffle-product relation span, read from
+    the echelon that also gives the weight's generators: each weight is
+    eliminated once."""
+    if weight < 2:
+        raise ValueError("weight must be >= 2")
+    return _echelon(weight)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,15 @@ def test_eval_that_does_not_converge_exits_2(capsys, args, route):
     assert err.startswith("error: ") and route in err
 
 
+def test_a_flag_before_the_subcommand_gets_the_hint(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--format", "json", "table"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'json'" in err
+    assert "flags go after the subcommand, e.g. multiwp table --format json" in err
+
+
 def test_removed_q_order_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["qexp", "--index", "2", "--q-order", "16"])

@@ -418,6 +418,22 @@ def test_antipode_residual():
         antipode_residual(2, [0.1, 0.1], TAU)
 
 
+def test_antipode_residual_by_the_exact_derivative():
+    # suite_antipode's draws at seeds 5 and 7; the suite itself keeps its
+    # tolerances of 1e-6 and 1e-5
+    for seed, tau in [(5, 2j), (7, TAU)]:
+        rng = np.random.default_rng(seed)
+        for r in (1, 2, 3):
+            xs = [complex(a, b) for a, b in
+                  zip(0.08 * rng.standard_normal(r), 0.08 * rng.standard_normal(r))]
+            assert abs(antipode_residual(r, xs, tau)) < 1e-11, (seed, r)
+    # dz against a central difference of value
+    q, z, h = multip.QFactor(3, 2, (0.05 + 0.02j, -0.03 + 0.04j, 0.06 - 0.01j), TAU), 0.01j, 1e-4
+    stencil = (-q.value(z + 2 * h) + 8 * q.value(z + h) - 8 * q.value(z - h)
+               + q.value(z - 2 * h)) / (12 * h)
+    assert abs(q.dz(z) - stencil) < 1e-9 * (1 + abs(stencil))
+
+
 def test_fourier_coefficients():
     assert fourier_c(1, 0) == (Fraction(0), 2)
     assert fourier_c(2, 0) == (Fraction(0), 4)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from multiwp.core import (Index, compositions_fixed, compositions_ge2, couplings, stuffle,
                           stuffle_expand)
-from multiwp.relations import (RelationMatrix, SymbolicCombination, _antipode_basis, _columns,
+from multiwp.relations import (RelationMatrix, SymbolicCombination, _columns, _echelon,
                                _stuffle_columns, antipode_relation, combination_residual,
                                conjectured_dim, conjectured_rel, mzv_relation_residual,
                                relation_rank, relation_rows, relation_table)
@@ -175,15 +175,72 @@ def test_coefficients_int_unless_rational():
 
 @pytest.mark.parametrize("weight", range(2, 13))
 def test_antipode_basis_spans_all_antipode_relations(weight):
-    basis = _antipode_basis(weight)
-    rels = [antipode_relation(src) for src in compositions_ge2(weight + 1)]
+    # the generators' contract: with the products u * g of the lower weights'
+    # generators they span every antipode relation of the weight, and each
+    # one raises the rank when inserted after the products
+    rank, generators = _echelon(weight)
     ech = RelationMatrix(weight)
-    assert all(ech.add(b) for b in basis)
-    assert ech.rank == len(basis)
-    assert not any(ech.add(rel) for rel in rels if rel)
-    # a subsequence of the relations in source order
-    it = iter(rels)
-    assert all(any(b is rel for rel in it) for b in basis)
+    for uw in range(2, weight - 1):
+        for u in compositions_ge2(uw):
+            for g in _echelon(weight - uw)[1]:
+                ech.add(g.stuffle_mul(u))
+    products_rank = ech.rank
+    assert all(ech.add(g) for g in generators)
+    assert ech.rank == products_rank + len(generators) == rank == TABLE[weight][2]
+    for src in compositions_ge2(weight + 1):  # the skipped mirror sources too
+        assert ech.contains(antipode_relation(src)), src
+    assert ech.rank == rank
+    antipode_rows = {tuple(antipode_relation(src)._row) for src in compositions_ge2(weight + 1)}
+    assert all(tuple(g._row) in antipode_rows for g in generators)
+
+
+def _antipode_basis_rows(weight):
+    """The row set built from a basis of every lower weight's antipode
+    relations: each mirror source's relation, and u * b for every admissible
+    u and every b in a Q-basis of the antipode relations of weight w - |u|."""
+    rows = [rel for src in compositions_ge2(weight + 1) if src <= src[::-1]
+            for rel in [antipode_relation(src)] if rel]
+    for uw in range(2, weight - 1):
+        lower = RelationMatrix(weight - uw)
+        basis = [rel for rel in map(antipode_relation, compositions_ge2(weight - uw + 1))
+                 if lower.add(rel)]
+        rows += [b.stuffle_mul(u) for u in compositions_ge2(uw) for b in basis]
+    return rows
+
+
+@pytest.mark.parametrize("weight", range(6, 14))
+def test_generator_rows_span_the_antipode_basis_rows(weight):
+    rows, basis_rows = list(relation_rows(weight)), _antipode_basis_rows(weight)
+    assert len(rows) <= len(basis_rows)
+    for mine, others in ((rows, basis_rows), (basis_rows, rows)):
+        ech = RelationMatrix(weight)
+        for row in mine:
+            ech.add(row)
+        assert ech.rank == TABLE[weight][2]
+        assert all(ech.contains(row) for row in others)
+
+
+def test_contains_inserts_nothing_and_excludes_the_numeric_weight9_relation():
+    ech = RelationMatrix(9)
+    for row in relation_rows(9):
+        ech.add(row)
+    assert ech.rank == TABLE[9][2] == 5
+    # the weight-9 relation found numerically: true, and outside the span
+    numeric = SymbolicCombination({(2, 2, 5): 30, (2, 3, 4): 15, (2, 7): -15, (3, 2, 4): 90,
+                                   (3, 6): 115, (4, 5): 12, (9,): -3})
+    assert combination_residual(numeric, 0.3 + 1.1j) < 1e-12
+    reversed_ = SymbolicCombination({ix[::-1]: c for ix, c in numeric.terms.items()})
+    assert combination_residual(reversed_, 0.3 + 1.1j) > 0.1
+    assert not ech.contains(numeric)
+    assert ech.rank == 5
+    for src in compositions_ge2(10):  # the skipped mirror sources too
+        assert ech.contains(antipode_relation(src)), src
+    assert ech.contains(SymbolicCombination())
+    assert ech.rank == 5
+    assert ech.add(numeric) and ech.rank == 6 == TABLE[9][1]
+    assert ech.contains(numeric) and ech.contains(numeric.scale(Fraction(-2, 7)))
+    with pytest.raises(ValueError, match="weight mismatch"):
+        ech.contains(antipode_relation((2, 2, 3)))
 
 
 @pytest.mark.parametrize("weight", range(8, 13))
@@ -294,7 +351,7 @@ def test_antipode_rows_match_two_word_expansion():
 def test_stuffle_mul_matches_stuffle_expand():
     us = [u for uw in range(2, 5) for u in compositions_ge2(uw)]
     for weight in range(2, 11):
-        for rel in _antipode_basis(weight):
+        for rel in filter(None, map(antipode_relation, compositions_ge2(weight + 1))):
             for u in us:
                 want = stuffle_expand((c, (u, ix)) for ix, c in rel.terms.items())
                 assert rel.stuffle_mul(u).terms == want, (rel, u)
